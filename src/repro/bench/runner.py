@@ -19,7 +19,7 @@ every repeat of a point returns identical cycles — a free
 bitwise-reproducibility check on every bench run.
 
 With ``backend="batch"`` the timed repeats instead run through the
-executor's batched backend (:class:`~repro.sim.batch.BatchRunner` —
+executor's unobserved path (:class:`~repro.sim.batch.BatchRunner` —
 one process, shared interned inputs, one merged event heap).  Cycles
 and stats are bitwise identical to solo mode; only the wall times
 change.  Per-point walls are then cycle-proportional shares of each
@@ -111,15 +111,13 @@ class BenchRunner:
         batched = self.backend == "batch"
         for repeat in range(self.repeats):
             if batched:
-                # The batch backend needs no observer trick: a fresh
+                # Unobserved runs need no observer trick: a fresh
                 # executor per repeat has an empty memo and no store,
                 # so every point simulates fresh through BatchRunner.
                 # Per-point walls are the runner's cycle-proportional
                 # shares of each batch wall, so their sum (and hence
                 # the aggregate sim_khz) reflects real elapsed time.
-                executor = Executor(
-                    backend="batch", batch_size=self.batch_size
-                )
+                executor = Executor(batch_size=self.batch_size)
                 results = executor.run_sweep(specs)
             else:
                 # A sinkless bus keeps every wants_* flag False (no
@@ -130,7 +128,7 @@ class BenchRunner:
                 results = executor.run_sweep(specs, obs=EventBus())
             by_label = {
                 t.label: t for t in executor.telemetry
-                if t.source in ("simulated", "batch")
+                if t.source == "simulated"
             }
             for pid, spec in zip(ids, specs):
                 stats = results[spec]

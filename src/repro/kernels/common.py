@@ -245,12 +245,17 @@ def glsc_paired_lock_apply(
 
 
 def _rebind_views(value, image: MemoryImage):
-    """``value`` with every ArrayView inside re-targeted at ``image``.
+    """``value`` with every ArrayView and image inside re-targeted at ``image``.
 
-    Returns ``value`` itself (identity-preserved) when nothing inside
-    is a view, so :meth:`KernelBase.rebound` leaves plain attributes —
+    A kernel is allocated into exactly one image, so any
+    :class:`MemoryImage` it holds (a kernel that allocates lazily keeps
+    one) is the template and becomes ``image`` too.  Returns ``value``
+    itself (identity-preserved) when nothing inside is a view or an
+    image, so :meth:`KernelBase.rebound` leaves plain attributes —
     datasets, parameters — shared with the template kernel.
     """
+    if isinstance(value, MemoryImage):
+        return image
     if isinstance(value, ArrayView):
         return ArrayView(image, value.base, value.length)
     if isinstance(value, list):
@@ -327,7 +332,11 @@ class KernelBase(abc.ABC):
         read *that machine's* image.  The clone shares the (read-only)
         dataset objects and allocation layout — only the
         :class:`~repro.mem.image.ArrayView` attributes are rebuilt,
-        wherever they live (attributes, lists, tuples, dict values).
+        wherever they live (attributes, lists, tuples, dict values),
+        and a held reference to the template image itself is pointed
+        at ``image``, so a lazy allocation made while the program runs
+        (the microbenchmark's index streams) lands in the machine's own
+        image at the same address as on an unbatched run.
 
         ``image`` must have been hydrated from this kernel's own
         allocation snapshot, so every view address stays valid.

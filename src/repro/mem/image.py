@@ -33,7 +33,8 @@ class ImageSnapshot:
 
     Produced by :meth:`MemoryImage.snapshot`, consumed by
     :meth:`MemoryImage.from_snapshot`.  ``words`` and ``regions`` are
-    shared by reference — treat them as read-only.
+    shared by reference — treat them as read-only (hydrated images copy
+    both).
     """
 
     size_bytes: int
@@ -150,9 +151,7 @@ class MemoryImage:
         template image, snapshots it, and hydrates one private image
         per machine from the snapshot — a single bulk dict copy instead
         of re-running every ``store_word`` of ``allocate``.  Treat the
-        snapshot as frozen: hydrated images copy the word dict before
-        mutating it, but share the region map (which only ``alloc``
-        grows, and hydrated images are never allocated into again).
+        snapshot as frozen: hydrated images copy it before mutating.
         """
         return ImageSnapshot(
             size_bytes=self.size_bytes,
@@ -166,13 +165,14 @@ class MemoryImage:
     def from_snapshot(cls, snap: "ImageSnapshot") -> "MemoryImage":
         """A fresh image hydrated from :meth:`snapshot`.
 
-        The word store is copied (each machine mutates its own words);
-        the region map is shared read-only (see :meth:`snapshot`).
+        The word store and the region map are copied: each machine
+        mutates its own words, and a kernel that allocates lazily while
+        running grows its own machine's region map.
         """
         image = cls(snap.size_bytes, snap.geometry)
         image._words = dict(snap.words)
         image._brk = snap.brk
-        image.regions = snap.regions
+        image.regions = snap.regions.copy()
         return image
 
     # -- word access ------------------------------------------------------

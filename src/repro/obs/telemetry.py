@@ -22,12 +22,12 @@ from typing import Any, Dict, Iterable, List
 
 __all__ = ["RunTelemetry", "run_provenance", "render_telemetry"]
 
-#: How a result was obtained.  ``queue`` means a detached service
+#: How a result was obtained.  ``simulated`` means fresh in this
+#: process (or its pool), however it was packed — ``batch_id`` and
+#: ``batch_occupancy`` record that; ``queue`` means a detached service
 #: worker simulated it and the executor collected it from the shared
-#: store (the ``queue://`` backend); ``batch`` means it was simulated
-#: fresh in-process alongside other specs by the batched backend
-#: (:mod:`repro.sim.batch`).
-SOURCES = ("simulated", "memo", "store", "queue", "batch")
+#: store (the ``queue://`` backend).
+SOURCES = ("simulated", "memo", "store", "queue")
 
 
 @dataclass
@@ -44,8 +44,8 @@ class RunTelemetry:
     worker_host: str = ""  # host that simulated it ("" = this one)
     created: float = 0.0   # unix timestamp
     trace_id: str = ""     # sweep trace this run belonged to ("" = none)
-    batch_id: str = ""     # batch this run was simulated in ("" = solo)
-    batch_occupancy: int = 0  # specs sharing that batch (0 = solo)
+    batch_id: str = ""     # batch this run was simulated in ("" = none)
+    batch_occupancy: int = 0  # specs sharing that batch (0 = none)
 
     @property
     def cycles_per_second(self) -> float:
@@ -123,7 +123,7 @@ def render_telemetry(entries: Iterable[RunTelemetry]) -> str:
             f"{t.wall_time_s:8.3f} {t.cycles_per_second:12.0f} "
             f"{t.worker_pid:7d}"
         )
-    simulated = [t for t in rows if t.source in ("simulated", "batch")]
+    simulated = [t for t in rows if t.source == "simulated"]
     total_wall = sum(t.wall_time_s for t in simulated)
     total_cycles = sum(t.cycles for t in simulated)
     lines.append(

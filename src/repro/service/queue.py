@@ -16,14 +16,16 @@ Layout::
                                      :mod:`repro.obs.sweeptrace`)
       workers/<worker_id>.json       worker heartbeat snapshots
 
-A task's payload is its spec (plus the digest, submission time, and —
-for traced sweeps — the sweep's trace id).  :meth:`WorkQueue.submit_many`
-additionally publishes *batch* files (``batch-<sha>.json``) carrying up
-to N specs each; a batch claims/acks/nacks/requeues as one unit, and
-workers drain it through one in-process
-:class:`~repro.sim.batch.BatchRunner` instead of N solo simulations.
-The ``queue_batch_size`` histogram records specs-per-file either way.
-The state machine:
+Every task file carries a member list of ``(digest, spec)`` pairs
+(plus the file's digest, submission time, and — for traced sweeps —
+the sweep's trace id).  :meth:`WorkQueue.submit` publishes a one-member
+file named by the spec digest; :meth:`WorkQueue.submit_many` publishes
+one file per group of up to N specs, named ``batch-<sha>`` over the
+member digests when the group has more than one.  A file claims, acks,
+nacks and requeues as one unit, and workers drain it through one
+in-process :class:`~repro.sim.batch.BatchRunner`.  The
+``queue_batch_size`` histogram records specs per file.  The state
+machine:
 
 * **submit** — atomic publish into ``pending/`` (temp file +
   ``os.replace``).  Submitting a digest that is already pending or
@@ -110,25 +112,27 @@ def parse_queue_url(url: str) -> Path:
 
 @dataclass(frozen=True)
 class Task:
-    """One claimed unit of work (hold it only between claim and ack).
+    """One claimed queue file (hold it only between claim and ack).
 
-    A task is normally one spec; :meth:`WorkQueue.submit_many` also
-    publishes *batch* tasks — one queue file carrying several specs —
-    in which case :attr:`members` lists every ``(digest, spec)`` pair
-    (in submission order), :attr:`digest` is the batch's content id
-    (``batch-<sha>``), and :attr:`spec` echoes the first member for
-    display.  Batches claim, ack, nack, and requeue as one unit.
+    :attr:`members` lists every ``(digest, spec)`` pair in submission
+    order; :attr:`digest` names the file — the spec digest for a
+    one-member file, ``batch-<sha>`` otherwise.
     """
 
     digest: str
-    spec: RunSpec
+    members: Tuple[Tuple[str, RunSpec], ...]
     lease_path: Path
     trace_id: str = ""  # sweep trace the submitter threaded through
-    members: Tuple[Tuple[str, RunSpec], ...] = ()
 
-    @property
-    def is_batch(self) -> bool:
-        return bool(self.members)
+
+def _member_list(
+    members: Sequence[Tuple[str, RunSpec]]
+) -> List[Dict[str, Any]]:
+    """The JSON member list every queue file carries."""
+    return [
+        {"digest": digest, "spec": spec.to_dict()}
+        for digest, spec in members
+    ]
 
 
 class WorkQueue:
@@ -241,43 +245,7 @@ class WorkQueue:
         provenance, and an ``enqueued`` span lands in the queue's
         trace sidecar (see :mod:`repro.obs.sweeptrace`).
         """
-        digest = digest or spec.digest()
-        if self._in_flight(digest):
-            return False
-        self.pending_dir.mkdir(parents=True, exist_ok=True)
-        self.leased_dir.mkdir(parents=True, exist_ok=True)
-        payload = {
-            "digest": digest,
-            "spec": spec.to_dict(),
-            "enqueued": time.time(),
-        }
-        if trace_id:
-            payload["trace"] = {"id": trace_id}
-        self._publish_pending(digest, payload)
-        self._count("submitted", +1, 0)
-        self._batch_size_hist.observe(1.0)
-        self.logger.debug("submit", digest=digest[:12], trace_id=trace_id)
-        self._phase("enqueued", digest, "queue", trace_id)
-        if trace_id:
-            self.span_log().record("enqueued", digest, trace_id)
-        return True
-
-    def _publish_pending(self, digest: str, payload: Dict[str, Any]) -> None:
-        """Atomically land one payload as ``pending/<digest>.json``."""
-        fd, tmp_name = tempfile.mkstemp(
-            dir=str(self.pending_dir), prefix=f".{digest[:12]}.",
-            suffix=".tmp",
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh, sort_keys=True)
-            os.replace(tmp_name, self.pending_dir / f"{digest}.json")
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
+        return self._publish([(digest or spec.digest(), spec)], trace_id)
 
     def submit_many(
         self,
@@ -286,19 +254,16 @@ class WorkQueue:
         digests: Optional[Sequence[str]] = None,
         trace_id: str = "",
     ) -> int:
-        """Enqueue specs as batch files of up to ``batch_size`` each.
+        """Enqueue specs as files of up to ``batch_size`` specs each.
 
         One queue file per group keeps the filesystem traffic (and the
         claim/ack round-trips) at ``N / batch_size`` instead of ``N``,
         and lets the claiming worker drain the whole group through one
-        :class:`~repro.sim.batch.BatchRunner`.  A group of one falls
-        back to a plain :meth:`submit` so singletons keep the classic
-        shape.  The batch digest (``batch-<sha>`` over the member
-        digests) keys the file; resubmitting an identical group while
-        it is pending or leased is a no-op, mirroring :meth:`submit`.
-        ``digests`` optionally provides pre-computed member digests
-        (parallel to ``specs``).  Returns how many *specs* were newly
-        queued.
+        :class:`~repro.sim.batch.BatchRunner`.  Resubmitting an
+        identical group while it is pending or leased is a no-op,
+        mirroring :meth:`submit`.  ``digests`` optionally provides
+        pre-computed member digests (parallel to ``specs``).  Returns
+        how many *specs* were newly queued.
         """
         if batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
@@ -315,41 +280,60 @@ class WorkQueue:
         for base in range(0, len(specs), batch_size):
             group = list(zip(digests[base:base + batch_size],
                              specs[base:base + batch_size]))
-            if len(group) == 1:
-                digest, spec = group[0]
-                if self.submit(spec, digest=digest, trace_id=trace_id):
-                    queued += 1
-                continue
-            batch_digest = "batch-" + hashlib.sha256(
+            if self._publish(group, trace_id):
+                queued += len(group)
+        return queued
+
+    def _publish(
+        self, group: Sequence[Tuple[str, RunSpec]], trace_id: str
+    ) -> bool:
+        """Atomically land one group as a pending file; False if in flight.
+
+        A one-member file is named by its spec digest, so
+        :meth:`_in_flight` answers for that spec directly; a larger
+        group is named ``batch-<sha>`` over its member digests.
+        """
+        if len(group) == 1:
+            name = group[0][0]
+        else:
+            name = "batch-" + hashlib.sha256(
                 "".join(digest for digest, _ in group).encode("utf-8")
             ).hexdigest()[:40]
-            if self._in_flight(batch_digest):
-                continue
-            self.pending_dir.mkdir(parents=True, exist_ok=True)
-            self.leased_dir.mkdir(parents=True, exist_ok=True)
-            payload: Dict[str, Any] = {
-                "digest": batch_digest,
-                "batch": [
-                    {"digest": digest, "spec": spec.to_dict()}
-                    for digest, spec in group
-                ],
-                "enqueued": time.time(),
-            }
-            if trace_id:
-                payload["trace"] = {"id": trace_id}
-            self._publish_pending(batch_digest, payload)
-            queued += len(group)
-            self._count("submitted", +1, 0)
-            self._batch_size_hist.observe(float(len(group)))
-            self.logger.debug(
-                "submit-batch", digest=batch_digest[:18],
-                size=len(group), trace_id=trace_id,
-            )
-            self._phase("enqueued", batch_digest, "queue", trace_id)
-            if trace_id:
-                for digest, _ in group:
-                    self.span_log().record("enqueued", digest, trace_id)
-        return queued
+        if self._in_flight(name):
+            return False
+        self.pending_dir.mkdir(parents=True, exist_ok=True)
+        self.leased_dir.mkdir(parents=True, exist_ok=True)
+        payload: Dict[str, Any] = {
+            "digest": name,
+            "batch": _member_list(group),
+            "enqueued": time.time(),
+        }
+        if trace_id:
+            payload["trace"] = {"id": trace_id}
+        fd, tmp_name = tempfile.mkstemp(
+            dir=str(self.pending_dir), prefix=f".{name[:12]}.",
+            suffix=".tmp",
+        )
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                json.dump(payload, fh, sort_keys=True)
+            os.replace(tmp_name, self.pending_dir / f"{name}.json")
+        except BaseException:
+            try:
+                os.unlink(tmp_name)
+            except OSError:
+                pass
+            raise
+        self._count("submitted", +1, 0)
+        self._batch_size_hist.observe(float(len(group)))
+        self.logger.debug(
+            "submit", digest=name[:12], size=len(group), trace_id=trace_id
+        )
+        self._phase("enqueued", name, "queue", trace_id)
+        if trace_id:
+            for digest, _ in group:
+                self.span_log().record("enqueued", digest, trace_id)
+        return True
 
     def submit_sweep(
         self, specs: Iterable[RunSpec], trace_id: str = ""
@@ -430,22 +414,17 @@ class WorkQueue:
             with open(path, encoding="utf-8") as fh:
                 payload = json.load(fh)
             trace_id = str((payload.get("trace") or {}).get("id", ""))
-            if "batch" in payload:
-                members = tuple(
-                    (str(entry["digest"]), RunSpec.from_dict(entry["spec"]))
-                    for entry in payload["batch"]
-                )
-                if not members:
-                    return None
-                return Task(
-                    digest=digest, spec=members[0][1], lease_path=path,
-                    trace_id=trace_id, members=members,
-                )
-            spec = RunSpec.from_dict(payload["spec"])
+            members = tuple(
+                (str(entry["digest"]), RunSpec.from_dict(entry["spec"]))
+                for entry in payload["batch"]
+            )
         except (OSError, ValueError, KeyError, TypeError, AttributeError):
             return None
+        if not members:
+            return None
         return Task(
-            digest=digest, spec=spec, lease_path=path, trace_id=trace_id
+            digest=digest, members=members, lease_path=path,
+            trace_id=trace_id,
         )
 
     def _stamp_lease(self, task: Task, worker_id: str) -> None:
@@ -454,6 +433,9 @@ class WorkQueue:
 
         payload: Dict[str, Any] = {
             "digest": task.digest,
+            # The lease keeps the member list: an expired lease renames
+            # back to pending, and the next claimer re-reads it.
+            "batch": _member_list(task.members),
             "lease": {
                 "worker_id": worker_id,
                 "host": platform.node(),
@@ -462,16 +444,6 @@ class WorkQueue:
                 "deadline": time.time() + self.lease_s,
             },
         }
-        if task.members:
-            # A batch lease must keep its member list: an expired
-            # lease renames back to pending, and the next claimer
-            # re-reads the payload.
-            payload["batch"] = [
-                {"digest": digest, "spec": spec.to_dict()}
-                for digest, spec in task.members
-            ]
-        else:
-            payload["spec"] = task.spec.to_dict()
         if task.trace_id:
             payload["trace"] = {"id": task.trace_id}
         try:

@@ -3,9 +3,9 @@
 A worker owns nothing: it binds a :class:`~repro.service.queue.WorkQueue`
 and a shared :class:`~repro.sim.store.ResultStore`, and repeats
 
-    requeue expired leases -> claim -> (skip if the store already has
-    the digest) -> :func:`~repro.sim.executor.execute_spec` -> store
-    save with worker/host provenance -> ack
+    requeue expired leases -> claim a file -> (skip members the store
+    already has) -> one :class:`~repro.sim.batch.BatchRunner` over the
+    rest -> store save with worker/host/batch provenance -> ack
 
 until told to stop.  N workers on N hosts drain one sweep with no
 coordination beyond the queue directory and the store; determinism
@@ -39,7 +39,6 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.sweeptrace import write_heartbeat
 from repro.obs.telemetry import run_provenance
 from repro.service.queue import Task, WorkQueue
-from repro.sim.executor import execute_spec
 from repro.sim.store import ResultStore
 
 __all__ = ["WorkerSummary", "worker_loop", "default_worker_id"]
@@ -60,12 +59,12 @@ class WorkerSummary:
     """What one :func:`worker_loop` invocation did."""
 
     worker_id: str = ""
-    executed: int = 0        # tasks simulated fresh
-    skipped: int = 0         # tasks whose digest the store already had
-    failed: int = 0          # tasks whose simulation raised (nacked)
+    executed: int = 0        # specs simulated fresh
+    skipped: int = 0         # specs whose digest the store already had
+    failed: int = 0          # claimed files whose simulation raised (nacked)
     requeued: int = 0        # expired leases this worker recycled
-    claims: int = 0          # successful claims (executed+skipped+failed)
-    sim_wall_s: float = 0.0  # wall seconds spent inside execute_spec
+    claims: int = 0          # successful claims of queue files
+    sim_wall_s: float = 0.0  # wall seconds spent inside BatchRunner
     wall_time_s: float = 0.0
     digests: List[str] = field(default_factory=list)
     # contention roll-up across executed tasks (from MachineStats)
@@ -166,7 +165,8 @@ def worker_loop(
     pending nor leased tasks (the batch-drain mode CI uses);
     ``idle_exit_s`` returns after that many seconds without claiming
     anything (lets a worker outlive brief gaps between submissions);
-    ``max_tasks`` bounds fresh executions.  With none of them set the
+    ``max_tasks`` bounds fresh spec executions (checked after each
+    claimed file).  With none of them set the
     loop runs forever — the always-on service worker.
 
     ``log`` accepts a :class:`~repro.obs.log.StructLogger`, a plain
@@ -181,8 +181,8 @@ def worker_loop(
     treats a queue holding only this worker's failures as drained.
     """
     worker_id = worker_id or default_worker_id()
-    # Provenance picks the id up from the environment so the single
-    # execute/save path needs no plumbing through execute_spec.
+    # Provenance picks the id up from the environment so the
+    # execute/save path needs no plumbing through BatchRunner.
     os.environ["REPRO_WORKER_ID"] = worker_id
     summary = WorkerSummary(worker_id=worker_id)
     logger = to_logger(log, component="worker").bind(worker_id=worker_id)
@@ -227,29 +227,8 @@ def worker_loop(
             metrics.claim()
             if task.trace_id:
                 spans.record("claimed", task.digest, task.trace_id)
-            if task.is_batch:
-                if not _execute_batch(task, queue, store, summary,
-                                      metrics, logger, spans):
-                    poisoned.add(task.digest)
-                beat()
-                if (
-                    max_tasks is not None
-                    and summary.executed >= max_tasks
-                ):
-                    break
-                continue
-            if store.load_record(task.digest) is not None:
-                # Another worker (or a requeued straggler's original
-                # run) already produced this record; determinism makes
-                # re-simulating pure waste.
-                queue.ack(task)
-                summary.skipped += 1
-                metrics.outcome("skipped")
-                logger.debug("skip", digest=task.digest[:12],
-                             reason="already in store")
-                continue
-            if not _execute_one(task, queue, store, summary,
-                                metrics, logger, spans):
+            if not _execute(task, queue, store, summary,
+                            metrics, logger, spans):
                 poisoned.add(task.digest)
             beat()
             if (
@@ -283,7 +262,7 @@ def _drained(queue: WorkQueue, poisoned: set) -> bool:
     return set(queue.pending_digests()) <= poisoned
 
 
-def _execute_batch(
+def _execute(
     task: Task,
     queue: WorkQueue,
     store: ResultStore,
@@ -292,15 +271,16 @@ def _execute_batch(
     logger: StructLogger,
     spans,
 ) -> bool:
-    """Drain one claimed batch through an in-process BatchRunner.
+    """Drain one claimed file through an in-process BatchRunner.
 
-    Members whose digest the store already has are skipped (the same
-    determinism argument as the single-task path, applied per member);
-    the rest simulate together — shared interned inputs, one merged
-    event heap.  Save-then-ack covers the whole file, so a crash
-    mid-batch requeues it and the re-run skips whatever did land.  A
-    simulation error nacks the *whole file* back to pending: members
-    are independent, but the file is the queue's unit of retry.
+    Members whose digest the store already has are skipped: another
+    worker (or a requeued straggler's original run) produced them, and
+    determinism makes re-simulating pure waste.  The rest simulate
+    together — shared interned inputs, one merged event heap.
+    Save-then-ack covers the whole file, so a crash mid-file requeues
+    it and the re-run skips whatever did land.  A simulation error
+    nacks the *whole file* back to pending: members are independent,
+    but the file is the queue's unit of retry.
     """
     from repro.sim.batch import BatchRunner
 
@@ -316,7 +296,7 @@ def _execute_batch(
     if not fresh:
         queue.ack(task)
         logger.debug(
-            "skip-batch", digest=task.digest[:18],
+            "skip", digest=task.digest[:12],
             reason="every member already in store",
         )
         return True
@@ -328,7 +308,7 @@ def _execute_batch(
         summary.failed += 1
         metrics.outcome("failed")
         logger.warning(
-            "fail-batch", digest=task.digest[:18],
+            "fail", digest=task.digest[:12],
             size=len(fresh), error=repr(exc), trace_id=task.trace_id,
         )
         return False
@@ -364,65 +344,8 @@ def _execute_batch(
         summary.digests.append(digest)
     queue.ack(task)
     logger.info(
-        "done-batch", digest=task.digest[:18], size=len(fresh),
+        "done-task", digest=task.digest[:12], size=len(fresh),
         skipped=skipped, wall_s=round(wall_s, 3),
-        trace_id=task.trace_id,
-    )
-    return True
-
-
-def _execute_one(
-    task: Task,
-    queue: WorkQueue,
-    store: ResultStore,
-    summary: WorkerSummary,
-    metrics: _WorkerMetrics,
-    logger: StructLogger,
-    spans,
-) -> bool:
-    """Simulate one claimed task; save-then-ack on success."""
-    begun = time.perf_counter()
-    try:
-        stats = execute_spec(task.spec)
-    except Exception as exc:  # noqa: BLE001 — a worker must survive
-        queue.nack(task)
-        summary.failed += 1
-        metrics.outcome("failed")
-        logger.warning(
-            "fail", digest=task.digest[:12], spec=task.spec.label(),
-            error=repr(exc), trace_id=task.trace_id,
-        )
-        return False
-    wall_s = time.perf_counter() - begun
-    summary.sim_wall_s += wall_s
-    metrics.simulated(wall_s)
-    metrics.contention(stats)
-    summary.contention_failed_lanes += stats.glsc_failures_total
-    summary.contention_sc_failures += stats.sc_failures
-    if task.trace_id:
-        spans.record(
-            "simulated", task.digest, task.trace_id,
-            wall_s=round(wall_s, 6), cycles=stats.cycles,
-        )
-    provenance = run_provenance(wall_s)
-    if task.trace_id:
-        provenance["trace_id"] = task.trace_id
-    store.save(
-        task.digest,
-        stats,
-        spec=task.spec.to_dict(),
-        config=task.spec.config().to_dict(),
-        provenance=provenance,
-    )
-    if task.trace_id:
-        spans.record("saved", task.digest, task.trace_id)
-    queue.ack(task)
-    summary.executed += 1
-    metrics.outcome("executed")
-    summary.digests.append(task.digest)
-    logger.info(
-        "done-task", digest=task.digest[:12], spec=task.spec.label(),
-        cycles=stats.cycles, wall_s=round(wall_s, 3),
         trace_id=task.trace_id,
     )
     return True

@@ -20,18 +20,25 @@ process by
   bookkeeping of :meth:`~repro.sim.machine.Machine.batch_step` stays
   hot across machines.
 
+This is the only unobserved simulation path: the executor (in-process
+or one group per pool task) and the queue worker both run every fresh
+spec here, a lone spec as a batch of one.
+
 Machines in a batch share *nothing* mutable: each gets its own
-hydrated image, its own rebound kernel, its own coherence system.
-The interleave order across machines is therefore unobservable, and
-every batched result is **bitwise identical** (cycles + stats digest)
-to the solo path — ``tests/bench/test_equivalence.py`` pins all 84
-grid points through this runner, and ``tests/sim/test_batch.py``
-property-checks random mixed batches against serial
-:func:`~repro.sim.executor.execute_spec`.
+hydrated image and region map, its own rebound kernel (views *and*
+image references retargeted, so lazy allocations land in its own
+image), its own coherence system.  The interleave order across
+machines is therefore unobservable, and every batched result is
+**bitwise identical** (cycles + stats digest) to the reference
+:func:`~repro.sim.executor.execute_spec` — ``tests/bench/
+test_equivalence.py`` pins all 84 grid points through this runner, and
+``tests/sim/test_batch.py`` property-checks random mixed batches,
+Section 5.2 microbenchmark specs included, against it.
 
 Observed runs (tracer / event-bus sinks) never come here: the
-executor keeps them on the solo path so the zero-allocation guard and
-contention/phase attribution are untouched.
+executor runs them one at a time through ``execute_spec``, so the
+zero-allocation guard holds and contention/phase attribution never
+mixes machines.
 """
 
 from __future__ import annotations
@@ -171,10 +178,10 @@ class BatchRunner:
     def run(self) -> List[BatchResult]:
         """Simulate every spec; results are in input order.
 
-        Any simulation or verification error propagates (as on the
-        solo path); machines are independent, so a failure says
-        nothing about the other specs' correctness — callers that need
-        isolation (the queue worker) catch and retry solo.
+        Any simulation or verification error propagates (as from
+        ``execute_spec``); machines are independent, so a failure says
+        nothing about the other specs' correctness — the queue worker
+        nacks the whole file, the file being its unit of retry.
         """
         from repro.sim.runner import verify_run
 
@@ -216,7 +223,7 @@ class BatchRunner:
         # One entry per live machine: (cycle, machine_id, core_id).
         # Each pop runs that machine's own loop from its next cycle up
         # to a chunk horizon; per-machine cycle sequences (and hence
-        # stats) are identical to Machine.run's.
+        # stats) are identical to Machine.run's single step.
         sim_began = time.perf_counter()
         chunk = self.chunk_cycles
         heap: List[Tuple[int, int, int]] = []

@@ -9,12 +9,15 @@ value:
   verified run (including config overrides and the warm-cache flag);
 * :class:`Sweep` — an ordered collection of specs with a
   :meth:`Sweep.product` constructor for Cartesian grids;
-* :func:`execute_spec` — the single execution path turning a spec into
-  :class:`~repro.sim.stats.MachineStats` (also the worker entry point);
+* :func:`execute_spec` — the reference path turning one spec into
+  :class:`~repro.sim.stats.MachineStats` (observed runs and the tests
+  that pin every other path against it);
 * :class:`Executor` — deduplicates a sweep, serves repeats from an
   in-memory memo and an optional on-disk
-  :class:`~repro.sim.store.ResultStore`, and fans the remaining
-  simulations out across a :class:`~concurrent.futures.ProcessPoolExecutor`.
+  :class:`~repro.sim.store.ResultStore`, and simulates the rest in
+  groups through :class:`~repro.sim.batch.BatchRunner` — in-process,
+  across a :class:`~concurrent.futures.ProcessPoolExecutor`, or on
+  ``queue://`` workers.  A solo run is a batch of one.
 
 Example::
 
@@ -31,8 +34,9 @@ Example::
     print(stats[RunSpec("tms", "A", "4x4", 4, "glsc")].cycles)
 
 Because every simulation is deterministic (seeded chaos, no wall-clock
-coupling), a parallel sweep is bitwise-identical to a serial one; the
-test suite asserts this.
+coupling) and machines in a batch share nothing mutable, a batched or
+parallel sweep is bitwise-identical to :func:`execute_spec` run spec by
+spec; the test suite asserts this.
 """
 
 from __future__ import annotations
@@ -313,9 +317,10 @@ def execute_spec(
 ) -> MachineStats:
     """Simulate one spec from scratch and return its verified stats.
 
-    This is the single execution path: the serial fast-path, the
-    process-pool workers, and the profiling example all funnel through
-    here, so a number can never depend on *how* it was scheduled.
+    This is the reference path: one machine, one
+    :meth:`~repro.sim.machine.Machine.run`.  Observed runs take it, and
+    the tests compare every batched, pooled and queued result against
+    it, so a number can never depend on *how* it was scheduled.
     ``tracer`` and ``obs`` attach observers to the machine (see
     :func:`~repro.sim.runner.run_prepared`); ``on_machine`` is passed
     through for pre-run state capture (named memory regions).
@@ -336,66 +341,74 @@ def execute_spec(
     )
 
 
-def _worker(spec: RunSpec) -> Tuple[str, MachineStats, float, int]:
-    """Process-pool entry point: (digest, stats, wall seconds, pid)."""
-    started = time.perf_counter()
-    stats = execute_spec(spec)
-    return spec.digest(), stats, time.perf_counter() - started, os.getpid()
+def _run_batch(
+    specs: List[RunSpec],
+) -> Tuple[List[Tuple[MachineStats, float]], int]:
+    """One group through one BatchRunner: ``([(stats, wall_s)], pid)``.
+
+    Module-level so a process pool can run it; the in-process path
+    calls it directly.
+    """
+    from repro.sim.batch import BatchRunner
+
+    results = BatchRunner(specs).run()
+    return [(r.stats, r.wall_s) for r in results], os.getpid()
 
 
 @dataclass
 class ExecutorCounters:
     """Where an executor's results came from (for reporting)."""
 
-    simulated: int = 0     # fresh simulations this process
+    simulated: int = 0     # fresh simulations by this executor
     memo_hits: int = 0     # served from the in-memory memo
     store_hits: int = 0    # served from the on-disk store
     queued: int = 0        # simulated by detached queue workers
-    batched: int = 0       # simulated by the in-process batch backend
 
 
 class Executor:
     """Deduplicating, caching, parallel runner of :class:`RunSpec` s.
 
-    ``jobs=1`` (the default) executes serially in-process;
-    ``jobs>1`` dispatches across a ``ProcessPoolExecutor``.  Results
-    are memoized in-memory for the executor's lifetime and, when a
-    ``store`` is given, persisted on disk keyed by
-    :meth:`RunSpec.digest`.
+    Fresh specs are packed into groups of at most ``batch_size``, and
+    each group runs through one :class:`~repro.sim.batch.BatchRunner`
+    (shared interned inputs, one merged event heap).  ``jobs=1`` (the
+    default) runs the groups in-process; ``jobs>1`` runs one group per
+    ``ProcessPoolExecutor`` task, cutting groups small enough to keep
+    every worker busy.  Results are memoized in-memory for the
+    executor's lifetime and, when a ``store`` is given, persisted on
+    disk keyed by :meth:`RunSpec.digest`.  Every fresh result is
+    telemetry-tagged ``source="simulated"``; its batch id and occupancy
+    record the packing, and its ``wall_time_s`` is the runner's
+    cycle-proportional share of the batch wall.
 
     ``overrides`` are executor-level :class:`MachineConfig` defaults
     applied to every spec (a spec's own overrides win on conflict) —
     the mechanism the ablation benches use to flip GLSC policies for a
     whole sweep at once.
 
-    ``backend`` selects *where* fresh simulations run.  The default
-    (``None``) simulates locally (serial or process pool, per
-    ``jobs``).  ``backend="queue://<dir>"`` instead enqueues missing
-    specs onto a shared :class:`~repro.service.queue.WorkQueue` and
-    waits for detached ``repro worker`` processes — on this host or
-    any other sharing the filesystem — to drain them into the store
-    (which is therefore required).  The executor requeues expired
-    leases while it waits, so worker crashes stall nothing, and every
-    collected result is telemetry-tagged ``source="queue"`` with the
-    producing worker's host from the record's provenance.
-    ``backend="batch"`` packs cold specs into groups of ``batch_size``
-    and simulates each group through one
-    :class:`~repro.sim.batch.BatchRunner` — one process, shared
-    interned inputs, one merged event heap — tagging results
-    ``source="batch"`` with the batch id and occupancy.  Results are
-    identical whichever backend runs them: a queue-drained or batched
-    sweep's store records are byte-identical (sans provenance) to a
-    serial run's, and the golden-equivalence tests pin this.
+    ``backend`` selects *where* the groups run.  The default (``None``,
+    or ``"batch"``, which means the same) simulates locally, per
+    ``jobs``.  ``backend="queue://<dir>"`` instead enqueues missing
+    specs onto a shared :class:`~repro.service.queue.WorkQueue`, one
+    file per group, and waits for detached ``repro worker`` processes
+    — on this host or any other sharing the filesystem — to drain
+    them into the store (which is therefore required).  The executor
+    requeues expired leases while it waits, so worker crashes stall
+    nothing, and every collected result is telemetry-tagged
+    ``source="queue"`` with the producing worker's host from the
+    record's provenance.  Results are identical wherever they run: a
+    queue-drained or pooled sweep's store records are byte-identical
+    (sans provenance) to :func:`execute_spec`'s, and the
+    golden-equivalence tests pin this.
 
     Observers (``tracer``/``obs`` on :meth:`run`/:meth:`run_sweep`)
     force two departures from the caching pipeline, both deliberate:
 
-    * **No process pool.**  Tracers and event buses hold live Python
-      state (open files, growing lists) that cannot cross a
-      ``ProcessPoolExecutor`` boundary — under ``fork`` the observer
-      would fill up in the *child* and the parent's copy would stay
-      silently empty.  Observed sweeps therefore always simulate
-      in-process, even with ``jobs > 1``.
+    * **One spec at a time, in-process.**  Observed specs run through
+      :func:`execute_spec`: a bus shared by interleaved machines would
+      mix their events, and tracers and event buses hold live Python
+      state (open files, growing lists) that cannot cross a process
+      boundary — under ``fork`` the observer would fill up in the
+      *child* and the parent's copy would stay silently empty.
     * **No cache reads.**  A memo or store hit skips the simulation,
       so the observer would see nothing; an observed spec is always
       simulated fresh (the result is still memoized and persisted for
@@ -427,10 +440,7 @@ class Executor:
         self.queue_poll_s = queue_poll_s
         self.queue_timeout_s = queue_timeout_s
         self._queue = None
-        self._batched = False
-        if backend == "batch":
-            self._batched = True
-        elif backend is not None:
+        if backend is not None and backend != "batch":
             if store is None:
                 raise ConfigError(
                     "backend requires a store: queue workers deliver "
@@ -470,14 +480,14 @@ class Executor:
         """Execute a sweep; returns ``{input spec: stats}``.
 
         Pipeline: deduplicate by content digest, serve what the memo or
-        store already has, simulate the rest (in parallel when
-        ``jobs > 1``), persist fresh results, and map every *input*
+        store already has, simulate the rest in batches (in parallel
+        when ``jobs > 1``), persist fresh results, and map every *input*
         spec — pre-resolution, so callers can look up with the specs
         they built — to its stats.
 
         Passing ``tracer`` or ``obs`` switches to observed mode: every
-        distinct spec simulates fresh, in-process (see the class
-        docstring for why caches and the process pool are bypassed).
+        distinct spec simulates fresh, in-process, one at a time (see
+        the class docstring for why caches and batching are bypassed).
         """
         if not isinstance(sweep, Sweep):
             sweep = Sweep(sweep)
@@ -517,122 +527,99 @@ class Executor:
     def _simulate(
         self, pending: Dict[str, RunSpec], tracer=None, obs=None
     ) -> None:
-        """Run every pending spec and record the results everywhere."""
-        specs = list(pending.values())
-        observed = tracer is not None or obs is not None
-        if self._queue is not None and not observed:
-            # Observed runs stay in-process even with a queue backend:
-            # a detached worker cannot feed this process's observers.
-            self._drain_via_queue(pending)
-            return
-        if self._batched and not observed:
-            # Observed runs keep the solo path: BatchRunner machines
-            # carry no tracer/bus, preserving the zero-overhead guard.
-            self._simulate_batched(pending)
-            return
-        if not observed and self.jobs > 1 and len(specs) > 1:
-            workers = min(self.jobs, len(specs))
-            with concurrent.futures.ProcessPoolExecutor(workers) as pool:
-                results = list(pool.map(_worker, specs))
-        else:
-            # Observers keep this path even at jobs > 1: their state
-            # would be lost across a process boundary (class docstring).
-            results = []
+        """Run every pending spec and record the results everywhere.
+
+        Observed specs run one at a time through :func:`execute_spec`:
+        a bus shared by interleaved machines would mix their events.
+        Everything else is packed into groups of at most ``batch_size``
+        and each group runs through one
+        :class:`~repro.sim.batch.BatchRunner` — in this process
+        (``jobs=1``), one group per pool task (``jobs>1``, groups cut
+        small enough to keep every worker busy), or on queue workers
+        (``queue://``).
+        """
+        if tracer is not None or obs is not None:
             for digest, spec in pending.items():
                 started = time.perf_counter()
                 stats = execute_spec(spec, tracer=tracer, obs=obs)
-                results.append(
-                    (digest, stats, time.perf_counter() - started,
-                     os.getpid())
+                self._record(
+                    digest, spec, stats, time.perf_counter() - started,
+                    os.getpid(),
                 )
-        for digest, stats, wall_s, pid in results:
-            self._memo[digest] = stats
-            self.counters.simulated += 1
-            spec = pending[digest]
-            self.telemetry.append(
-                RunTelemetry(
-                    label=spec.label(),
-                    digest=digest,
-                    source="simulated",
-                    cycles=stats.cycles,
-                    instructions=stats.total_instructions,
-                    wall_time_s=wall_s,
-                    worker_pid=pid,
-                    created=time.time(),
-                )
-            )
-            if self.store is not None:
-                provenance = run_provenance(wall_s)
-                provenance["worker_pid"] = pid
-                self.store.save(
-                    digest,
-                    stats,
-                    spec=spec.to_dict(),
-                    config=spec.config().to_dict(),
-                    provenance=provenance,
-                )
-
-    def _simulate_batched(self, pending: Dict[str, RunSpec]) -> None:
-        """Pack pending specs into batches and drain each in-process.
-
-        Specs are packed in pending order, ``batch_size`` at a time;
-        each group runs through one
-        :class:`~repro.sim.batch.BatchRunner`.  Per-spec wall times are
-        the runner's cycle-proportional shares of the batch wall, so
-        telemetry sums stay meaningful; the batch id (a digest of the
-        member digests) and occupancy land in both telemetry and store
-        provenance.
-        """
-        from repro.sim.batch import BatchRunner
-
+            return
+        if self._queue is not None:
+            self._drain_via_queue(pending)
+            return
         items = list(pending.items())
-        pid = os.getpid()
-        for base in range(0, len(items), self.batch_size):
-            group = items[base:base + self.batch_size]
+        size = self.batch_size
+        if self.jobs > 1:
+            size = min(size, -(-len(items) // self.jobs))
+        groups = [items[i:i + size] for i in range(0, len(items), size)]
+        members = [[spec for _, spec in group] for group in groups]
+        if self.jobs > 1 and len(groups) > 1:
+            with concurrent.futures.ProcessPoolExecutor(
+                min(self.jobs, len(groups))
+            ) as pool:
+                outcomes = list(pool.map(_run_batch, members))
+        else:
+            outcomes = map(_run_batch, members)
+        for group, (results, pid) in zip(groups, outcomes):
             batch_id = hashlib.sha256(
                 "".join(digest for digest, _ in group).encode("utf-8")
             ).hexdigest()[:12]
-            runner = BatchRunner([spec for _, spec in group])
-            results = runner.run()
-            occupancy = len(group)
-            for (digest, spec), result in zip(group, results):
-                stats = result.stats
-                self._memo[digest] = stats
-                self.counters.batched += 1
-                self.telemetry.append(
-                    RunTelemetry(
-                        label=spec.label(),
-                        digest=digest,
-                        source="batch",
-                        cycles=stats.cycles,
-                        instructions=stats.total_instructions,
-                        wall_time_s=result.wall_s,
-                        worker_pid=pid,
-                        created=time.time(),
-                        batch_id=batch_id,
-                        batch_occupancy=occupancy,
-                    )
+            for (digest, spec), (stats, wall_s) in zip(group, results):
+                self._record(
+                    digest, spec, stats, wall_s, pid, batch_id, len(group)
                 )
-                if self.store is not None:
-                    provenance = run_provenance(result.wall_s)
-                    provenance["worker_pid"] = pid
-                    provenance["batch_id"] = batch_id
-                    provenance["batch_occupancy"] = occupancy
-                    self.store.save(
-                        digest,
-                        stats,
-                        spec=spec.to_dict(),
-                        config=spec.config().to_dict(),
-                        provenance=provenance,
-                    )
+
+    def _record(
+        self,
+        digest: str,
+        spec: RunSpec,
+        stats: MachineStats,
+        wall_s: float,
+        pid: int,
+        batch_id: str = "",
+        occupancy: int = 0,
+    ) -> None:
+        """Memoize, tag and persist one freshly simulated result."""
+        self._memo[digest] = stats
+        self.counters.simulated += 1
+        self.telemetry.append(
+            RunTelemetry(
+                label=spec.label(),
+                digest=digest,
+                source="simulated",
+                cycles=stats.cycles,
+                instructions=stats.total_instructions,
+                wall_time_s=wall_s,
+                worker_pid=pid,
+                created=time.time(),
+                batch_id=batch_id,
+                batch_occupancy=occupancy,
+            )
+        )
+        if self.store is not None:
+            provenance = run_provenance(wall_s)
+            provenance["worker_pid"] = pid
+            if batch_id:
+                provenance["batch_id"] = batch_id
+                provenance["batch_occupancy"] = occupancy
+            self.store.save(
+                digest,
+                stats,
+                spec=spec.to_dict(),
+                config=spec.config().to_dict(),
+                provenance=provenance,
+            )
 
     def _drain_via_queue(self, pending: Dict[str, RunSpec]) -> None:
         """Enqueue pending specs and collect worker-produced results.
 
-        Specs are published as batch files of up to ``batch_size``
-        (:meth:`~repro.service.queue.WorkQueue.submit_many`), so a
+        Specs are published as queue files of up to ``batch_size``
+        (:meth:`~repro.service.queue.WorkQueue.submit_many`), and a
         claiming worker drains each file through one in-process
-        :class:`~repro.sim.batch.BatchRunner` instead of N solo runs.
+        :class:`~repro.sim.batch.BatchRunner`.
         The rendezvous is the shared store: workers save records keyed
         by digest, this loop polls for them (cheap existence checks,
         no tally churn), requeueing expired leases as it goes so a

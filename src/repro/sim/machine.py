@@ -15,6 +15,11 @@ thread each cycle.  None of this changes observable timing: cycle
 counts and stats are bit-identical to the reference loop
 (``tests/bench/test_equivalence.py`` holds the golden values).
 
+The loop is written once, in :meth:`Machine.batch_step`, with one
+single-core specialisation.  :meth:`Machine.run` is a single step to
+``max_cycles``; the batched backend (:mod:`repro.sim.batch`) calls the
+same step in chunks to interleave many machines on one heap.
+
 Barriers are resolved here: a thread executing a ``barrier``
 instruction parks until every live thread in its group has arrived,
 then all are released together after a small rendezvous cost.  The
@@ -156,148 +161,15 @@ class Machine:
     # -- main loop ----------------------------------------------------------
 
     def run(self) -> MachineStats:
-        """Run all programs to completion; returns the machine stats."""
-        if self._ran:
-            raise SimulationError("a Machine can only be run once")
-        self._ran = True
-        if not self.threads:
-            raise SimulationError("no programs attached")
-        cores = self.cores
-        max_cycles = self.config.max_cycles
-        live = len(self.threads)
-        # Cores report thread lifecycle changes into these shared lists
-        # so the loop never rescans all threads.
-        done_events: List[HwThread] = []
-        barrier_arrivals: List[HwThread] = []
-        barrier_waiters: List[HwThread] = []
-        # Wakeup heap: (cycle, core_id) for every core that has a READY
-        # thread.  An entry is current iff its cycle still equals the
-        # core's cached ``_next_ready``; anything else is stale and is
-        # dropped when popped (values are re-pushed on every change, so
-        # a current entry always exists).
-        heap: List[Tuple[int, int]] = []
-        for core in cores:
-            core.done_events = done_events
-            core.barrier_arrivals = barrier_arrivals
-            ready = core.next_ready_cycle()
-            core._next_ready = ready
-            if ready is not None:
-                heap.append((ready, core.core_id))
-        heapify(heap)
-        cycle = 0
-        it = 0
-        if len(cores) == 1:
-            # Single-core machines need no wakeup heap: the one core is
-            # ticked every iteration (its next READY cycle *is* the
-            # clock), which drops all heap bookkeeping from the loop.
-            # Tick/advance ordering, `it` sequencing, and every error
-            # edge match the general loop below exactly.
-            core = cores[0]
-            while True:
-                wake = core.tick(cycle, it)
-                if done_events:
-                    live -= len(done_events)
-                    del done_events[:]
-                if barrier_arrivals:
-                    for thread in barrier_arrivals:
-                        if thread.barrier_group != "all":
-                            raise SimulationError(
-                                f"unknown barrier group "
-                                f"{thread.barrier_group!r}; only 'all' is "
-                                f"supported by the machine barrier"
-                            )
-                    barrier_waiters.extend(barrier_arrivals)
-                    del barrier_arrivals[:]
-                if barrier_waiters and len(barrier_waiters) == live:
-                    self._release_barrier(barrier_waiters, cycle, heap)
-                    wake = core._next_ready
-                if live == 0:
-                    cycle += 1
-                    if cycle > max_cycles:
-                        raise SimulationError(
-                            f"exceeded max_cycles={max_cycles}; "
-                            f"likely livelock"
-                        )
-                    break
-                if wake is None:
-                    raise DeadlockError(
-                        "all live threads are blocked at barriers that "
-                        "cannot be released"
-                    )
-                cycle = cycle + 1 if wake <= cycle else wake
-                if cycle > max_cycles:
-                    raise SimulationError(
-                        f"exceeded max_cycles={max_cycles}; likely livelock"
-                    )
-                it += 1
-            self.stats.cycles = max(
-                t.stats.finish_cycle for t in self.threads
-            )
-            return self.stats
-        to_tick: List[int] = []
-        while True:
-            # -- tick every core with a thread runnable at `cycle`,
-            #    in core-id order (shared L2-bank/directory state makes
-            #    the order observable).
-            del to_tick[:]
-            while heap and heap[0][0] <= cycle:
-                entry = heappop(heap)
-                cid = entry[1]
-                if cores[cid]._next_ready == entry[0] and cid not in to_tick:
-                    to_tick.append(cid)
-            to_tick.sort()
-            for cid in to_tick:
-                core = cores[cid]
-                ready = core.tick(cycle, it)
-                core._next_ready = ready
-                if ready is not None:
-                    heappush(heap, (ready, cid))
-            # -- thread lifecycle events from this round of ticks
-            if done_events:
-                live -= len(done_events)
-                del done_events[:]
-            if barrier_arrivals:
-                for thread in barrier_arrivals:
-                    if thread.barrier_group != "all":
-                        raise SimulationError(
-                            f"unknown barrier group "
-                            f"{thread.barrier_group!r}; only 'all' is "
-                            f"supported by the machine barrier"
-                        )
-                barrier_waiters.extend(barrier_arrivals)
-                del barrier_arrivals[:]
-            if barrier_waiters and len(barrier_waiters) == live:
-                self._release_barrier(barrier_waiters, cycle, heap)
-            # -- advance the clock
-            if live == 0:
-                cycle += 1
-                if cycle > max_cycles:
-                    raise SimulationError(
-                        f"exceeded max_cycles={max_cycles}; likely livelock"
-                    )
-                break
-            while heap and cores[heap[0][1]]._next_ready != heap[0][0]:
-                heappop(heap)
-            if not heap:
-                # Threads exist but none is READY: they must all be
-                # parked at barriers that cannot be released.
-                raise DeadlockError(
-                    "all live threads are blocked at barriers that cannot "
-                    "be released"
-                )
-            wake = heap[0][0]
-            cycle = cycle + 1 if wake <= cycle else wake
-            if cycle > max_cycles:
-                raise SimulationError(
-                    f"exceeded max_cycles={max_cycles}; likely livelock"
-                )
-            it += 1
-        self.stats.cycles = max(
-            t.stats.finish_cycle for t in self.threads
-        )
-        return self.stats
+        """Run all programs to completion; returns the machine stats.
 
-    # -- batched execution seam ---------------------------------------------
+        A solo run is one :meth:`batch_step` whose horizon is
+        ``max_cycles``: the livelock guard fires before the horizon
+        can, so the step only returns once every thread has finished.
+        """
+        self._begin()
+        self.batch_step(0, self.config.max_cycles)
+        return self.stats
 
     def batch_begin(self) -> int:
         """Prepare this machine for externally driven iteration.
@@ -305,27 +177,33 @@ class Machine:
         The batched backend (:mod:`repro.sim.batch`) drains many
         machines through one interleaved event heap; instead of
         :meth:`run` owning the loop, the driver calls
-        :meth:`batch_step` once per iteration at the cycle this method
-        (and then each step) hands back.  The per-iteration work is a
-        verbatim transcription of the general loop in :meth:`run` —
-        same tick ordering, barrier handling, advancement rule, and
-        error edges — so a batched machine retires bit-identical stats
-        (the golden-equivalence tests pin this).
-
-        Returns the cycle of the first iteration (always 0, matching
-        :meth:`run`).
+        :meth:`batch_step` once per chunk at the cycle this method
+        (and then each step) hands back.  Returns the cycle of the
+        first iteration (always 0, as in :meth:`run`).
         """
+        self._begin()
+        return 0
+
+    def _begin(self) -> None:
+        """Set up the loop state :meth:`batch_step` resumes from."""
         if self._ran:
             raise SimulationError("a Machine can only be run once")
         self._ran = True
         if not self.threads:
             raise SimulationError("no programs attached")
         self._b_live = len(self.threads)
+        # Cores report thread lifecycle changes into these shared lists
+        # so the loop never rescans all threads.
         done_events: List[HwThread] = []
         barrier_arrivals: List[HwThread] = []
         self._b_done_events = done_events
         self._b_barrier_arrivals = barrier_arrivals
         self._b_barrier_waiters: List[HwThread] = []
+        # Wakeup heap: (cycle, core_id) for every core that has a READY
+        # thread.  An entry is current iff its cycle still equals the
+        # core's cached ``_next_ready``; anything else is stale and is
+        # dropped when popped (values are re-pushed on every change, so
+        # a current entry always exists).
         heap: List[Tuple[int, int]] = []
         for core in self.cores:
             core.done_events = done_events
@@ -338,7 +216,6 @@ class Machine:
         self._b_heap = heap
         self._b_to_tick: List[int] = []
         self._b_it = 0
-        return 0
 
     def next_core_id(self) -> int:
         """Core id of this machine's next wakeup (0 when none pending).
@@ -354,17 +231,15 @@ class Machine:
     def batch_step(self, cycle: int, horizon: int) -> Optional[int]:
         """Execute loop iterations from ``cycle`` up through ``horizon``.
 
-        Runs the machine's own loop — a verbatim transcription of
-        :meth:`run`, including its single-core specialization — until
-        the next iteration's cycle exceeds ``horizon``, then returns
-        that cycle so the batch driver can re-queue this machine;
-        returns ``None`` when every thread has finished
-        (``stats.cycles`` is final).  Because a machine's cycle
-        sequence never depends on other machines, the horizon only
-        sets the cross-machine interleave granularity, not any result.
-        Loop state lives in locals within a chunk (the hot path is as
-        tight as :meth:`run`'s) and is saved back to ``_b_*``
-        attributes only at chunk boundaries.
+        This is the machine's only cycle loop.  It runs until the next
+        iteration's cycle exceeds ``horizon``, then returns that cycle
+        so the batch driver can re-queue this machine; it returns
+        ``None`` when every thread has finished (``stats.cycles`` is
+        final).  Because a machine's cycle sequence never depends on
+        other machines, the horizon only sets the cross-machine
+        interleave granularity, not any result.  Loop state lives in
+        locals within a chunk and is saved back to ``_b_*`` attributes
+        only at chunk boundaries.
         """
         cores = self.cores
         heap = self._b_heap
@@ -375,6 +250,11 @@ class Machine:
         barrier_waiters = self._b_barrier_waiters
         it = self._b_it
         if len(cores) == 1:
+            # Single-core machines need no wakeup heap: the one core is
+            # ticked every iteration (its next READY cycle *is* the
+            # clock), which drops all heap bookkeeping from the loop.
+            # Tick/advance ordering, `it` sequencing, and every error
+            # edge match the general loop below exactly.
             core = cores[0]
             while True:
                 wake = core.tick(cycle, it)
@@ -423,6 +303,9 @@ class Machine:
                     return cycle
         to_tick = self._b_to_tick
         while True:
+            # -- tick every core with a thread runnable at `cycle`,
+            #    in core-id order (shared L2-bank/directory state makes
+            #    the order observable).
             del to_tick[:]
             while heap and heap[0][0] <= cycle:
                 entry = heappop(heap)
@@ -436,6 +319,7 @@ class Machine:
                 core._next_ready = ready
                 if ready is not None:
                     heappush(heap, (ready, cid))
+            # -- thread lifecycle events from this round of ticks
             if done_events:
                 live -= len(done_events)
                 del done_events[:]
@@ -451,6 +335,7 @@ class Machine:
                 del barrier_arrivals[:]
             if barrier_waiters and len(barrier_waiters) == live:
                 self._release_barrier(barrier_waiters, cycle, heap)
+            # -- advance the clock
             if live == 0:
                 cycle += 1
                 if cycle > max_cycles:
@@ -465,6 +350,8 @@ class Machine:
             while heap and cores[heap[0][1]]._next_ready != heap[0][0]:
                 heappop(heap)
             if not heap:
+                # Threads exist but none is READY: they must all be
+                # parked at barriers that cannot be released.
                 raise DeadlockError(
                     "all live threads are blocked at barriers that cannot "
                     "be released"

@@ -26,7 +26,8 @@ __all__ = ["RunResult", "run_kernel", "run_prepared", "verify_run"]
 
 
 def verify_run(kernel: KernelBase, machine: Machine) -> None:
-    """Post-run correctness checks shared by the solo and batched paths:
+    """Post-run correctness checks shared by ``run_prepared`` and
+    :class:`~repro.sim.batch.BatchRunner`:
     the kernel's output oracle, then the coherence system's global
     invariants."""
     kernel.verify()

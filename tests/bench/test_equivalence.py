@@ -26,7 +26,7 @@ import pytest
 
 from repro.bench.suite import BenchSuite, point_id
 from repro.sim.batch import BatchRunner
-from repro.sim.executor import execute_spec
+from repro.sim.executor import Executor, execute_spec
 
 DATA = Path(__file__).parent / "data"
 
@@ -47,6 +47,12 @@ def solo_stats(specs):
 def batch_stats(specs):
     """The batched path: every spec through one BatchRunner."""
     return [result.stats for result in BatchRunner(specs).run()]
+
+
+def pooled_stats(specs):
+    """The executor's pooled path: one batch group per pool task."""
+    results = Executor(jobs=2).run_sweep(specs)
+    return [results[spec] for spec in specs]
 
 
 def check_grid(suite: BenchSuite, golden_name: str, runner=solo_stats) -> None:
@@ -99,3 +105,9 @@ def test_full_grid_matches_golden():
 def test_full_grid_matches_golden_batched():
     """Tier-2: all 84 points through BatchRunner are bitwise-identical."""
     check_grid(BenchSuite.full(), "golden_full.json", runner=batch_stats)
+
+
+@pytest.mark.tier2
+def test_full_grid_matches_golden_pooled():
+    """Tier-2: all 84 points through Executor(jobs=2) are bitwise-identical."""
+    check_grid(BenchSuite.full(), "golden_full.json", runner=pooled_stats)

@@ -2,10 +2,10 @@
 
 One queue file per N specs cuts the per-spec filesystem round-trips,
 and the claiming worker drains the whole file through one in-process
-:class:`~repro.sim.batch.BatchRunner`.  The contract mirrors the
-single-task path exactly: store records byte-identical (sans
-provenance) to a serial run, per-member store-skip, whole-file nack on
-failure, batch payloads surviving lease stamping and requeue.
+:class:`~repro.sim.batch.BatchRunner`.  The contract: store records
+byte-identical (sans provenance) to a serial run, per-member
+store-skip, whole-file nack on failure, member lists surviving lease
+stamping and requeue.
 """
 
 import json
@@ -64,7 +64,7 @@ class TestSubmitMany:
         queue = WorkQueue(tmp_path / "q", metrics=MetricsRegistry())
         queue.submit_many(SPECS[:3], batch_size=3)
         task = queue.claim("w1")
-        assert task is not None and task.is_batch
+        assert task is not None
         assert [spec for _, spec in task.members] == SPECS[:3]
         assert task.digest.startswith("batch-")
 
@@ -80,7 +80,7 @@ class TestSubmitMany:
         requeued = queue.requeue_expired(now=9e18)
         assert requeued == [first.digest]
         second = queue.claim("w2")
-        assert second is not None and second.is_batch
+        assert second is not None
         assert second.members == first.members
 
 
@@ -100,13 +100,15 @@ class TestWorkerBatchDrain:
         serial_records = canonical_records(serial_store)
         batch_records = canonical_records(store)
         assert batch_records == serial_records
-        # Batched members carry their file's id in provenance; the
-        # trailing singleton (5 specs at batch_size=2) does not.
-        with_batch_id = sum(
-            1 for d in store.digests()
-            if (store.load_record(d).get("provenance") or {}).get("batch_id")
+        # Every member carries its file's id and occupancy in
+        # provenance, the trailing singleton (5 specs at batch_size=2)
+        # included: a one-spec file is a batch of one.
+        occupancy = sorted(
+            store.load_record(d)["provenance"]["batch_occupancy"]
+            for d in store.digests()
+            if store.load_record(d)["provenance"].get("batch_id")
         )
-        assert with_batch_id == 4
+        assert occupancy == [1, 2, 2, 2, 2]
 
     def test_member_store_skip(self, tmp_path):
         queue = WorkQueue(tmp_path / "q", metrics=MetricsRegistry())

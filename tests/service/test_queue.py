@@ -66,7 +66,7 @@ class TestClaim:
         queue = WorkQueue(tmp_path / "q")
         queue.submit(SPEC)
         task = queue.claim("w1")
-        assert task.spec == SPEC
+        assert task.members == ((SPEC.digest(), SPEC),)
 
     def test_lease_stamp_names_the_worker(self, tmp_path):
         queue = WorkQueue(tmp_path / "q")
@@ -125,7 +125,7 @@ class TestLeaseExpiry:
 
         replacement = queue.claim("healthy-worker")
         assert replacement is not None
-        assert replacement.spec == SPEC
+        assert replacement.members == ((SPEC.digest(), SPEC),)
 
     def test_live_lease_is_left_alone(self, tmp_path):
         queue = WorkQueue(tmp_path / "q", lease_s=3600.0)

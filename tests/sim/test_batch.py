@@ -6,13 +6,14 @@ event heap — three ways a bug could leak one machine's state or
 scheduling into another's results.  These tests pin the contract from
 every angle:
 
-* property-style: seeded-random subsets of the smoke grid, shuffled,
-  mixed across protocols/variants/widths, at batch sizes including 1,
+* property-style: seeded-random subsets of the smoke grid plus the
+  Section 5.2 microbenchmark specs, shuffled, mixed across
+  protocols/variants/widths, split into batches of sizes including 1,
   are stats-digest-identical to serial :func:`execute_spec`;
 * the scheduling quantum (``chunk_cycles``) is sweep-invariant;
-* the executor's ``backend="batch"`` store records are byte-identical
-  to solo records apart from provenance, and its telemetry carries the
-  batch tags.
+* the executor's store records are byte-identical to records built
+  from :func:`execute_spec` apart from provenance, and its telemetry
+  carries the batch tags.
 """
 
 import hashlib
@@ -24,6 +25,15 @@ from repro.sim.batch import BatchRunner
 from repro.sim.executor import Executor, RunSpec, execute_spec
 from repro.sim.store import ResultStore
 
+#: The microbenchmark allocates its index streams lazily, while the
+#: program runs — the allocation a batch must land in each machine's
+#: own image rather than the shared template.
+MICRO_SPECS = [
+    RunSpec.micro(scenario, "4x4", width, "glsc")
+    for scenario in "ABCD"
+    for width in (4, 16)
+]
+
 
 def digest(stats) -> str:
     payload = json.dumps(
@@ -33,7 +43,7 @@ def digest(stats) -> str:
 
 
 def spec_pool():
-    """Smoke grid plus protocol/variant off-grid points to mix in."""
+    """Smoke grid plus off-grid protocol/variant/microbenchmark points."""
     pool = list(BenchSuite.smoke().specs())
     pool += [
         RunSpec("tms", "tiny", "1x2", 4, "glsc",
@@ -42,7 +52,7 @@ def spec_pool():
                 overrides={"protocol": "moesi"}),
         RunSpec("tms", "tiny", "1x2", 1, "base", warm=True),
     ]
-    return pool
+    return pool + MICRO_SPECS
 
 
 class TestBatchMatchesSerial:
@@ -54,13 +64,15 @@ class TestBatchMatchesSerial:
         for batch_size in (1, 2, 3, 7):
             subset = rng.sample(pool, rng.randint(2, len(pool)))
             rng.shuffle(subset)
-            results = BatchRunner(subset).run()
-            assert [r.spec for r in results] == subset
-            for result in results:
-                assert digest(result.stats) == serial[result.spec], (
-                    f"batched result for {result.spec.label()} diverged "
-                    f"from serial at batch_size={batch_size}"
-                )
+            for base in range(0, len(subset), batch_size):
+                batch = subset[base:base + batch_size]
+                results = BatchRunner(batch).run()
+                assert [r.spec for r in results] == batch
+                for result in results:
+                    assert digest(result.stats) == serial[result.spec], (
+                        f"batched result for {result.spec.label()} "
+                        f"diverged from serial at batch_size={batch_size}"
+                    )
 
     def test_chunk_cycles_is_unobservable(self):
         """The cross-machine interleave quantum never changes results."""
@@ -74,9 +86,18 @@ class TestBatchMatchesSerial:
             assert got == want, f"results moved at chunk_cycles={chunk}"
 
     def test_batch_of_one_matches_serial(self):
-        spec = spec_pool()[0]
-        (result,) = BatchRunner([spec]).run()
-        assert digest(result.stats) == digest(execute_spec(spec))
+        for spec in (spec_pool()[0], MICRO_SPECS[0]):
+            (result,) = BatchRunner([spec]).run()
+            assert digest(result.stats) == digest(execute_spec(spec))
+
+    def test_micro_batch_allocates_into_its_own_image(self):
+        """Lazy allocations stay private to each machine's image."""
+        specs = [MICRO_SPECS[0], RunSpec.micro("A", "4x4", 4, "base")]
+        runner = BatchRunner(specs)
+        results = runner.run()
+        assert runner.info["interned_images"] == 1
+        for spec, result in zip(specs, results):
+            assert digest(result.stats) == digest(execute_spec(spec))
 
     def test_interning_is_shared_but_results_are_private(self):
         """Same-image specs share one interned snapshot, distinct stats."""
@@ -94,16 +115,18 @@ class TestBatchMatchesSerial:
 
 class TestExecutorBatchBackend:
     def test_store_records_byte_identical_sans_provenance(self, tmp_path):
-        """A batched sweep's records equal a solo sweep's, bar provenance."""
+        """A batched sweep's records equal execute_spec's, bar provenance."""
         specs = spec_pool()[:6]
         solo_store = ResultStore(tmp_path / "solo")
         batch_store = ResultStore(tmp_path / "batch")
-        solo = Executor(store=solo_store)
-        solo.run_sweep(specs)
-        batched = Executor(store=batch_store, backend="batch", batch_size=4)
+        for spec in specs:
+            solo_store.save(
+                spec.digest(), execute_spec(spec), spec=spec.to_dict(),
+                config=spec.config().to_dict(), provenance={},
+            )
+        batched = Executor(store=batch_store, batch_size=4)
         batched.run_sweep(specs)
-        assert batched.counters.batched == len(specs)
-        assert batched.counters.simulated == 0
+        assert batched.counters.simulated == len(specs)
         digests = [spec.digest() for spec in specs]
         for spec_digest in digests:
             a = solo_store.load_record(spec_digest)
@@ -119,7 +142,7 @@ class TestExecutorBatchBackend:
         executor = Executor(backend="batch", batch_size=2)
         executor.run_sweep(specs)
         batch_rows = [
-            t for t in executor.telemetry if t.source == "batch"
+            t for t in executor.telemetry if t.source == "simulated"
         ]
         assert len(batch_rows) == len(specs)
         assert all(t.batch_id for t in batch_rows)
@@ -128,8 +151,7 @@ class TestExecutorBatchBackend:
         assert all(t.wall_time_s > 0 for t in batch_rows)
 
     def test_batched_results_match_solo_executor(self):
-        specs = spec_pool()[:4]
-        solo = Executor().run_sweep(specs)
+        specs = spec_pool()[:4] + MICRO_SPECS[:2]
         batched = Executor(backend="batch", batch_size=8).run_sweep(specs)
         for spec in specs:
-            assert digest(batched[spec]) == digest(solo[spec])
+            assert digest(batched[spec]) == digest(execute_spec(spec))
