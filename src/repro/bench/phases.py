@@ -34,6 +34,8 @@ from __future__ import annotations
 from typing import Any, Dict, Set
 
 from repro.obs.bus import Sink
+from repro.obs.events import ElementOutcome
+from repro.sim.trace import TraceEvent
 
 __all__ = ["PhaseSink", "PHASE_NAMES"]
 
@@ -53,27 +55,31 @@ class PhaseSink(Sink):
         self._threads: Set[int] = set()
         self._retrying: Dict[int, bool] = {}  # core -> in retry loop
 
-    def on_event(self, event: Any) -> None:
-        if event.category == "glsc":
-            ok = getattr(event, "ok", None)
-            if ok is None:
-                return  # LineCombine: no success/failure signal
-            if not ok:
-                self._retrying[event.core] = True
-            elif event.op == "scattercond":
-                # The retry loop ends when the scatter-cond commits.
-                self._retrying[event.core] = False
-            return
-        # instr: one retired instruction's occupancy
+    def _on_instr(self, event: TraceEvent) -> None:
+        # One retired instruction's occupancy: TraceEvent.latency,
+        # inlined (this runs once per instruction of the run).
         self._threads.add(event.thread)
-        latency = event.latency
-        if event.sync:
-            if self._retrying.get(event.core, False):
-                self.retry += latency
-            else:
-                self.gather += latency
-        else:
+        latency = event.completion - event.cycle
+        if latency < 1:
+            latency = 1
+        if not event.sync:
             self.compute += latency
+        elif self._retrying.get(event.core, False):
+            self.retry += latency
+        else:
+            self.gather += latency
+
+    def _on_element(self, event: ElementOutcome) -> None:
+        if not event.ok:
+            self._retrying[event.core] = True
+        elif event.op == "scattercond":
+            # The retry loop ends when the scatter-cond commits.
+            self._retrying[event.core] = False
+
+    #: Event class -> handler; the bus calls these directly.
+    #: LineCombine, the other glsc event, has no success/failure
+    #: signal.
+    handlers = {TraceEvent: _on_instr, ElementOutcome: _on_element}
 
     @property
     def threads(self) -> int:

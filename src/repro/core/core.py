@@ -86,30 +86,6 @@ class HwThread:
         # send(None) on a fresh generator is next(): no "started" flag.
         self._send = program(ctx).send
 
-    def runnable_at(self, now: int) -> bool:
-        """Whether this thread can issue an instruction at ``now``."""
-        return self.state == T_READY and self.ready_at <= now
-
-    def next_instr(self) -> Optional[Instr]:
-        """Advance the program generator by one instruction.
-
-        Returns None when the program has finished.
-        """
-        try:
-            instr = self._send(self._pending_result)
-        except StopIteration:
-            return None
-        if type(instr) is not Instr:
-            raise ProgramError(
-                f"thread {self.global_tid} yielded {type(instr).__name__}, "
-                f"expected Instr"
-            )
-        return instr
-
-    def deliver(self, result: Any) -> None:
-        """Stage the architectural result for the next generator resume."""
-        self._pending_result = result
-
 
 class Core:
     """One in-order SMT core with private L1 port, LSU, and GSU."""
@@ -289,11 +265,7 @@ class Core:
                     best = r
         return best
 
-    def all_done(self) -> bool:
-        """Whether every thread on this core has finished."""
-        return all(t.state == T_DONE for t in self.threads)
-
-    # -- execution -----------------------------------------------------------
+    # -- observation ---------------------------------------------------------
 
     def _observe(
         self, thread: HwThread, instr: Instr, now: int, completion: int
@@ -303,21 +275,13 @@ class Core:
         if self.tracer is None and not wants_instr:
             return
         event = TraceEvent(
-            cycle=now,
-            completion=completion,
-            thread=thread.global_tid,
-            core=self.core_id,
-            kind=instr.kind,
-            sync=instr.sync,
+            now, completion, thread.global_tid, self.core_id, instr.kind,
+            instr.sync,
         )
         if self.tracer is not None:
             self.tracer.record(event)
         if wants_instr:
             obs.emit(event)
-
-    def _execute(self, thread: HwThread, instr: Instr, now: int):
-        """Execute one instruction; returns (completion cycle, result)."""
-        return thread.handlers[instr.kind](instr, now)
 
     # -- dispatch compilation ----------------------------------------------
 

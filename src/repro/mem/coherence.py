@@ -532,10 +532,10 @@ class CoherenceSystem:
             self.stats.writebacks += 1
         self.protocol.counts["PutM" if dirty else "PutS"] += 1
         if obs is not None:
-            if obs.wants_coherence:
+            if obs.wants_cache:
                 obs.emit(Eviction(now, core, line.line_addr, dirty))
-                if dirty:
-                    obs.emit(Writeback(now, core, line.line_addr, "eviction"))
+            if dirty and obs.wants_coherence:
+                obs.emit(Writeback(now, core, line.line_addr, "eviction"))
             if obs.wants_protocol:
                 obs.emit(
                     PutM(now, core, line.line_addr)

@@ -32,8 +32,9 @@ timing model produces:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
+
+from repro.records import record
 
 __all__ = [
     "MSG_KINDS",
@@ -67,8 +68,8 @@ MSG_KINDS: Tuple[str, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class GetS:
+@record
+class GetS(NamedTuple):
     """L1 -> directory: read miss; requester wants a readable copy."""
 
     category = "protocol"
@@ -82,8 +83,8 @@ class GetS:
     occupancy: int = 0
 
 
-@dataclass(frozen=True)
-class GetM:
+@record
+class GetM(NamedTuple):
     """L1 -> directory: write miss; requester wants the sole M copy."""
 
     category = "protocol"
@@ -96,8 +97,8 @@ class GetM:
     occupancy: int = 0
 
 
-@dataclass(frozen=True)
-class Upgrade:
+@record
+class Upgrade(NamedTuple):
     """L1 -> directory: S -> M upgrade for an already-resident line."""
 
     category = "protocol"
@@ -110,8 +111,8 @@ class Upgrade:
     occupancy: int = 0
 
 
-@dataclass(frozen=True)
-class SilentUpgrade:
+@record
+class SilentUpgrade(NamedTuple):
     """E -> M with no directory traffic (MESI/MOESI's saved Upgrade).
 
     Not a message on the wire; emitted so traffic comparisons can see
@@ -127,8 +128,8 @@ class SilentUpgrade:
     line_addr: int
 
 
-@dataclass(frozen=True)
-class PutM:
+@record
+class PutM(NamedTuple):
     """L1 -> directory: a dirty line left the L1 (eviction writeback)."""
 
     category = "protocol"
@@ -139,8 +140,8 @@ class PutM:
     line_addr: int
 
 
-@dataclass(frozen=True)
-class PutS:
+@record
+class PutS(NamedTuple):
     """L1 -> directory: a clean line left the L1 (eviction notice).
 
     Real MESI implementations may drop clean lines silently; this
@@ -156,8 +157,8 @@ class PutS:
     line_addr: int
 
 
-@dataclass(frozen=True)
-class Inv:
+@record
+class Inv(NamedTuple):
     """Directory -> L1: invalidate your copy (writer upgrading, or the
     inclusive L2 evicted the line)."""
 
@@ -170,8 +171,8 @@ class Inv:
     cause: str     # "remote_write" | "l2_eviction"
 
 
-@dataclass(frozen=True)
-class Fwd:
+@record
+class Fwd(NamedTuple):
     """Directory -> owner: forward your copy to a reader.
 
     Under MSI/MESI the owner downgrades to S and (if dirty) writes
@@ -187,8 +188,8 @@ class Fwd:
     writeback: bool  # whether dirty data returned to the L2
 
 
-@dataclass(frozen=True)
-class Ack:
+@record
+class Ack(NamedTuple):
     """Directory -> requester: transaction complete.
 
     ``latency`` is the total thread-visible cost; ``level`` names the

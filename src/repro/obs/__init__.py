@@ -9,7 +9,7 @@ the model exposes the same attribution as a stream of typed events.
 
 Three pieces:
 
-* :mod:`repro.obs.events` — the event taxonomy (frozen dataclasses,
+* :mod:`repro.obs.events` — the event taxonomy (immutable records,
   one category per subsystem: ``instr``, ``cache``, ``coherence``,
   ``reservation``, ``glsc``);
 * :mod:`repro.obs.bus` — :class:`EventBus`, the dispatch fabric.

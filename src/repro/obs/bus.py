@@ -19,11 +19,20 @@ emission site is written::
 test — no event allocation, no dynamic lookup, no call.  The test
 suite enforces this by poisoning every event constructor and running
 an un-instrumented simulation.
+
+The enabled path is kept just as lean: :meth:`EventBus.emit` makes
+one dict lookup, by event class, for a tuple of handlers resolved the
+first time that class is emitted, then calls each directly.  A sink
+that declares a :attr:`Sink.handlers` table is called straight at the
+handler for the event's class, and not at all for the classes of its
+categories it has no handler for; any other sink gets ``on_event``.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, TypeVar
+from typing import (
+    Any, Callable, Dict, Iterable, List, Optional, Tuple, TypeVar,
+)
 
 from repro.errors import ConfigError
 from repro.obs.events import CATEGORIES
@@ -43,9 +52,23 @@ class Sink:
     #: Default categories this sink wants (None = every category).
     categories: Optional[Iterable[str]] = None
 
+    #: Optional direct-dispatch table, event class -> ``handler(self,
+    #: event)``.  When set, the bus delivers an event of a subscribed
+    #: category only if its class has a handler, and calls that handler
+    #: directly.
+    handlers: Optional[Dict[type, Callable[[Any, Any], None]]] = None
+
     def on_event(self, event: Any) -> None:
-        """Called once per event, in emission order."""
-        raise NotImplementedError
+        """Called once per event, in emission order.
+
+        The default dispatches through :attr:`handlers`; a sink without
+        a table overrides this.
+        """
+        if self.handlers is None:
+            raise NotImplementedError
+        handler = self.handlers.get(type(event))
+        if handler is not None:
+            handler(self, event)
 
     def close(self) -> None:
         """Flush/teardown; called once by :meth:`EventBus.close`."""
@@ -56,7 +79,11 @@ class EventBus:
 
     def __init__(self) -> None:
         self._sinks: List[Sink] = []
-        self._routes: Dict[str, List[Sink]] = {cat: [] for cat in CATEGORIES}
+        self._subscribers: Dict[str, List[Sink]] = {
+            cat: [] for cat in CATEGORIES
+        }
+        # event class -> bound handlers; filled lazily by _route()
+        self._routes: Dict[type, Tuple[Callable[[Any], None], ...]] = {}
         self._closed = False
         self.wants_instr = False
         self.wants_cache = False
@@ -74,7 +101,7 @@ class EventBus:
         """Subscribe ``sink``; returns it (for one-line construction)."""
         wanted = categories if categories is not None else sink.categories
         cats = tuple(wanted) if wanted is not None else CATEGORIES
-        unknown = [c for c in cats if c not in self._routes]
+        unknown = [c for c in cats if c not in self._subscribers]
         if unknown:
             raise ConfigError(
                 f"unknown event categories {unknown}; "
@@ -82,22 +109,23 @@ class EventBus:
             )
         self._sinks.append(sink)
         for cat in cats:
-            self._routes[cat].append(sink)
+            self._subscribers[cat].append(sink)
+        self._routes.clear()
         self._refresh_flags()
         return sink
 
     def _refresh_flags(self) -> None:
-        self.wants_instr = bool(self._routes["instr"])
-        self.wants_cache = bool(self._routes["cache"])
-        self.wants_coherence = bool(self._routes["coherence"])
-        self.wants_reservation = bool(self._routes["reservation"])
-        self.wants_glsc = bool(self._routes["glsc"])
-        self.wants_protocol = bool(self._routes["protocol"])
-        self.wants_service = bool(self._routes["service"])
+        self.wants_instr = bool(self._subscribers["instr"])
+        self.wants_cache = bool(self._subscribers["cache"])
+        self.wants_coherence = bool(self._subscribers["coherence"])
+        self.wants_reservation = bool(self._subscribers["reservation"])
+        self.wants_glsc = bool(self._subscribers["glsc"])
+        self.wants_protocol = bool(self._subscribers["protocol"])
+        self.wants_service = bool(self._subscribers["service"])
 
     def wants(self, category: str) -> bool:
         """Whether any sink subscribes to ``category``."""
-        return bool(self._routes[category])
+        return bool(self._subscribers[category])
 
     @property
     def sinks(self) -> List[Sink]:
@@ -108,8 +136,25 @@ class EventBus:
 
     def emit(self, event: Any) -> None:
         """Deliver ``event`` to every sink of its category."""
-        for sink in self._routes[event.category]:
-            sink.on_event(event)
+        try:
+            route = self._routes[type(event)]
+        except KeyError:
+            route = self._route(type(event))
+        for handler in route:
+            handler(event)
+
+    def _route(self, event_type: type) -> Tuple[Callable[[Any], None], ...]:
+        """Resolve (and cache) the handlers for one event class."""
+        route = []
+        for sink in self._subscribers[event_type.category]:
+            # duck-typed sinks (e.g. Tracer) need not subclass Sink
+            table = getattr(sink, "handlers", None)
+            if table is None:
+                route.append(sink.on_event)
+            elif event_type in table:
+                route.append(table[event_type].__get__(sink))
+        self._routes[event_type] = resolved = tuple(route)
+        return resolved
 
     def close(self) -> None:
         """Close every sink exactly once (idempotent)."""

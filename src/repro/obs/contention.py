@@ -39,6 +39,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.obs.bus import Sink
+from repro.obs.events import ElementOutcome, Invalidation, ReservationLost
 from repro.sim.stats import FAILURE_CAUSES, MachineStats
 
 __all__ = ["ContentionSink", "ContentionSummary", "ENV_THREAD"]
@@ -115,19 +116,11 @@ class ContentionSink(Sink):
 
     # -- event intake -----------------------------------------------------
 
-    def on_event(self, event: Any) -> None:
-        name = type(event).__name__
-        if name == "ReservationLost":
-            self._on_loss(event)
-        elif name == "ElementOutcome":
-            self._on_element(event)
-        elif name == "Invalidation":
-            line = self._lines.setdefault(event.line_addr, [0, 0, 0])
-            line[1] += 1
-        # Other coherence/glsc events (Writeback, LineCombine,
-        # ReservationSet) carry no conflict signal.
+    def _on_invalidation(self, event: Invalidation) -> None:
+        line = self._lines.setdefault(event.line_addr, [0, 0, 0])
+        line[1] += 1
 
-    def _on_loss(self, event: Any) -> None:
+    def _on_loss(self, event: ReservationLost) -> None:
         victim = self._tid(event.core, event.slot)
         self._threads.add(victim)
         if event.cause == "consumed":
@@ -135,10 +128,7 @@ class ContentionSink(Sink):
                 self._consumed.get(event.kind, 0) + 1
             )
             return
-        attacker = self._tid(
-            getattr(event, "attacker_core", -1),
-            getattr(event, "attacker_slot", -1),
-        )
+        attacker = self._tid(event.attacker_core, event.attacker_slot)
         if attacker != ENV_THREAD:
             self._threads.add(attacker)
         key = (attacker, victim, event.cause)
@@ -153,7 +143,7 @@ class ContentionSink(Sink):
         )
         bucket[0] += 1
 
-    def _on_element(self, event: Any) -> None:
+    def _on_element(self, event: ElementOutcome) -> None:
         tid = self._tid(event.core, event.slot)
         self._threads.add(tid)
         streak_key = (tid, event.line_addr)
@@ -177,6 +167,15 @@ class ContentionSink(Sink):
         )
         bucket[1] += event.lanes
         self._streaks[streak_key] = self._streaks.get(streak_key, 0) + 1
+
+    #: Event class -> handler; the bus calls these directly.  The
+    #: other coherence/glsc/reservation events (Writeback, LineCombine,
+    #: ReservationSet) carry no conflict signal.
+    handlers = {
+        ReservationLost: _on_loss,
+        ElementOutcome: _on_element,
+        Invalidation: _on_invalidation,
+    }
 
     # -- summary ----------------------------------------------------------
 

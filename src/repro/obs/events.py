@@ -1,9 +1,11 @@
 """Typed observability events emitted by the memory hierarchy and GSU.
 
-Every event is a small frozen dataclass carrying the simulation cycle
-it happened at plus enough identity to attribute it (core, SMT slot,
-line address, cause).  Events are grouped into *categories* — the unit
-of subscription on the :class:`~repro.obs.bus.EventBus`:
+Every event is a small immutable record (a :class:`typing.NamedTuple`
+made frozen and type-strict by :func:`repro.records.record`, built
+positionally) carrying the simulation cycle it happened at plus enough
+identity to attribute it (core, SMT slot, line address, cause).
+Events are grouped into *categories* — the unit of subscription on
+the :class:`~repro.obs.bus.EventBus`:
 
 =============  ========================================================
 ``instr``      retired instructions (:class:`~repro.sim.trace.
@@ -42,9 +44,10 @@ Design constraints:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from enum import Enum
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, NamedTuple, Optional, Tuple
+
+from repro.records import record
 
 __all__ = [
     "CATEGORIES",
@@ -70,8 +73,8 @@ CATEGORIES = (
 )
 
 
-@dataclass(frozen=True)
-class CacheHit:
+@record
+class CacheHit(NamedTuple):
     """A demand access that hit (counted in ``l1_hits``/L2 presence)."""
 
     category = "cache"
@@ -84,8 +87,8 @@ class CacheHit:
     op: str     # "read" | "write"
 
 
-@dataclass(frozen=True)
-class CacheMiss:
+@record
+class CacheMiss(NamedTuple):
     """A demand access that missed at ``level`` and went deeper."""
 
     category = "cache"
@@ -98,8 +101,8 @@ class CacheMiss:
     op: str     # "read" | "write"
 
 
-@dataclass(frozen=True)
-class Eviction:
+@record
+class Eviction(NamedTuple):
     """A line left an L1 by capacity/conflict replacement."""
 
     category = "cache"
@@ -110,8 +113,8 @@ class Eviction:
     dirty: bool
 
 
-@dataclass(frozen=True)
-class Writeback:
+@record
+class Writeback(NamedTuple):
     """Dirty data left an L1 (counted in ``stats.writebacks``)."""
 
     category = "coherence"
@@ -122,8 +125,8 @@ class Writeback:
     reason: str  # "eviction" | "invalidation" | "downgrade"
 
 
-@dataclass(frozen=True)
-class Invalidation:
+@record
+class Invalidation(NamedTuple):
     """An L1 copy was invalidated by the coherence protocol."""
 
     category = "coherence"
@@ -134,8 +137,8 @@ class Invalidation:
     cause: str     # "remote_write" | "l2_eviction"
 
 
-@dataclass(frozen=True)
-class ReservationSet:
+@record
+class ReservationSet(NamedTuple):
     """A reservation was acquired (scalar ``ll`` or GLSC gather-link)."""
 
     category = "reservation"
@@ -147,8 +150,8 @@ class ReservationSet:
     kind: str  # "scalar" | "glsc"
 
 
-@dataclass(frozen=True)
-class ReservationLost:
+@record
+class ReservationLost(NamedTuple):
     """A live reservation was destroyed (or consumed by its owner).
 
     ``cause`` uses the same vocabulary as
@@ -176,8 +179,8 @@ class ReservationLost:
     attacker_slot: int = -1
 
 
-@dataclass(frozen=True)
-class ElementOutcome:
+@record
+class ElementOutcome(NamedTuple):
     """Outcome of GLSC element operations on one cache line.
 
     One event per (instruction, line, outcome) group: ``lanes`` is how
@@ -198,8 +201,8 @@ class ElementOutcome:
     cause: Optional[str]  # a FAILURE_CAUSES member when ok is False
 
 
-@dataclass(frozen=True)
-class LineCombine:
+@record
+class LineCombine(NamedTuple):
     """The GSU merged same-line lanes into one L1 access (Section 2.2)."""
 
     category = "glsc"
@@ -213,8 +216,8 @@ class LineCombine:
     sync: bool        # whether the access counts as an atomic op
 
 
-@dataclass(frozen=True)
-class TaskPhase:
+@record
+class TaskPhase(NamedTuple):
     """One sweep-service lifecycle transition for one spec digest.
 
     Unlike the simulation events above, ``ts`` is a wall-clock unix
@@ -245,7 +248,7 @@ def all_event_types() -> Tuple[type, ...]:
 
 
 #: The protocol-transaction events are the coherence seam's message
-#: dataclasses themselves (``category = "protocol"``), so the stream a
+#: records themselves (``category = "protocol"``), so the stream a
 #: sink sees *is* the directory traffic the selected protocol spoke.
 from repro.mem.messages import PROTOCOL_MESSAGES  # noqa: E402
 
@@ -275,9 +278,8 @@ def event_to_dict(event: Any) -> Dict[str, Any]:
         "type": type(event).__name__,
         "cat": event.category,
     }
-    for f in fields(event):
-        value = getattr(event, f.name)
+    for name, value in zip(event._fields, event):
         if isinstance(value, Enum):
             value = value.name
-        out[f.name] = value
+        out[name] = value
     return out

@@ -28,6 +28,7 @@ from repro.obs.events import (
     Writeback,
     event_to_dict,
 )
+from repro.sim.trace import TraceEvent
 
 __all__ = ["MetricsSink", "JsonlSink"]
 
@@ -84,7 +85,7 @@ class MetricsSink(Sink):
 
     def on_event(self, event: Any) -> None:
         self.events_seen += 1
-        handler = self._HANDLERS.get(type(event).__name__)
+        handler = self._HANDLERS.get(type(event))
         if handler is not None:
             handler(self, event)
 
@@ -141,20 +142,21 @@ class MetricsSink(Sink):
     def _on_protocol(self, event: Any) -> None:
         self.protocol_traffic[event.kind] += 1
 
+    #: Event class -> handler (one dict lookup per event).
     _HANDLERS = {
-        "TraceEvent": _on_instr,
-        "CacheHit": _on_hit,
-        "CacheMiss": _on_miss,
-        "Eviction": _on_eviction,
-        "Invalidation": _on_invalidation,
-        "Writeback": _on_writeback,
-        "ReservationSet": _on_reservation_set,
-        "ReservationLost": _on_reservation_lost,
-        "ElementOutcome": _on_element,
-        "LineCombine": _on_combine,
+        TraceEvent: _on_instr,
+        CacheHit: _on_hit,
+        CacheMiss: _on_miss,
+        Eviction: _on_eviction,
+        Invalidation: _on_invalidation,
+        Writeback: _on_writeback,
+        ReservationSet: _on_reservation_set,
+        ReservationLost: _on_reservation_lost,
+        ElementOutcome: _on_element,
+        LineCombine: _on_combine,
     }
     for _msg in PROTOCOL_MESSAGES:
-        _HANDLERS[_msg.__name__] = _on_protocol
+        _HANDLERS[_msg] = _on_protocol
     del _msg
 
     # -- queries ----------------------------------------------------------

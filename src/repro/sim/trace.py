@@ -17,19 +17,20 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, Iterator, List, NamedTuple, Optional
 
 from repro.isa.instructions import Kind
+from repro.records import record
 
 __all__ = ["TraceEvent", "Tracer", "InstructionTrace", "KindProfile"]
 
 
-@dataclass(frozen=True)
-class TraceEvent:
+@record
+class TraceEvent(NamedTuple):
     """One retired instruction.
 
     Also an observability event (category ``"instr"``): the same
-    object a :class:`Tracer` receives flows over the
+    record a :class:`Tracer` receives flows over the
     :class:`~repro.obs.bus.EventBus` to any sink subscribed to
     instruction events.
     """

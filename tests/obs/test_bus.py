@@ -5,7 +5,9 @@ import pytest
 from repro.errors import ConfigError
 from repro.isa.instructions import Kind
 from repro.obs.bus import EventBus, Sink
-from repro.obs.events import CATEGORIES, CacheMiss, ReservationLost
+from repro.obs.events import (
+    CATEGORIES, CacheHit, CacheMiss, ReservationLost,
+)
 from repro.sim.trace import TraceEvent
 
 
@@ -108,6 +110,40 @@ class TestDispatch:
         event = instr_event()
         bus.emit(event)
         assert list(trace) == [event]
+
+
+    def test_handler_table_sinks_get_direct_calls(self):
+        class Misses(Sink):
+            def __init__(self):
+                self.seen = []
+
+            def on_event(self, event):
+                raise AssertionError("the bus should call the handler")
+
+            def _on_miss(self, event):
+                self.seen.append(event)
+
+            handlers = {CacheMiss: _on_miss}
+
+        bus = EventBus()
+        misses = bus.attach(Misses(), categories=("cache",))
+        everything = bus.attach(Collect())
+        miss = CacheMiss(1, 0, 0, 0x40, "L1", "read")
+        hit = CacheHit(2, 0, 0, 0x40, "L1", "read")
+        bus.emit(miss)
+        bus.emit(hit)  # same category, no handler: not delivered
+        assert misses.seen == [miss]
+        assert everything.events == [miss, hit]
+
+    def test_attach_after_emit_reroutes(self):
+        bus = EventBus()
+        first = bus.attach(Collect(), categories=("cache",))
+        bus.emit(CacheMiss(1, 0, 0, 0x40, "L1", "read"))
+        second = bus.attach(Collect(), categories=("cache",))
+        miss = CacheMiss(2, 0, 0, 0x80, "L1", "read")
+        bus.emit(miss)
+        assert len(first.events) == 2
+        assert second.events == [miss]
 
 
 class TestLifecycle:

@@ -32,10 +32,47 @@ class TestEventTypes:
         with pytest.raises(dataclasses.FrozenInstanceError):
             event.cycle = 6
 
+    @pytest.mark.parametrize(
+        "event_type", all_event_types(), ids=lambda t: t.__name__
+    )
+    def test_every_record_is_frozen(self, event_type):
+        event = event_type(*range(len(event_type._fields)))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            event.cycle = 6
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del event.cycle
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            event.extra = 1
+
+    def test_different_types_never_compare_equal(self):
+        from repro.mem.messages import GetM, GetS, PutM, PutS
+
+        assert GetS(1, 0, 0, 0x40) != GetM(1, 0, 0, 0x40)
+        assert not GetS(1, 0, 0, 0x40) == GetM(1, 0, 0, 0x40)
+        assert PutM(1, 0, 0x40) != PutS(1, 0, 0x40)
+        # nor equal to the plain tuple of their fields, either way round
+        assert CacheMiss(5, 0, 1, 0x100, "L1", "read") != (
+            5, 0, 1, 0x100, "L1", "read")
+        assert (5, 0, 1, 0x100, "L1", "read") != CacheMiss(
+            5, 0, 1, 0x100, "L1", "read")
+
+    def test_same_type_equal_fields_are_equal_and_hash_alike(self):
+        a = ReservationLost(3, 1, 0, 0x80, "glsc", "eviction")
+        b = ReservationLost(3, 1, 0, 0x80, "glsc", "eviction", -1, -1)
+        assert a == b and not a != b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    def test_trace_event_latency(self):
+        event = TraceEvent(10, 14, 2, 0, Kind.VGATHERLINK, True)
+        assert event.latency == 4
+        assert TraceEvent(10, 10, 2, 0, Kind.ALU, False).latency == 1
+        assert "latency" not in TraceEvent._fields
+
     def test_category_is_not_a_field(self):
         # category lives on the class so construction never pays for it
-        names = {f.name for f in dataclasses.fields(CacheMiss)}
-        assert "category" not in names
+        for event_type in all_event_types():
+            assert "category" not in event_type._fields
 
 
 class TestEventToDict:

@@ -162,3 +162,53 @@ class TestServiceCategoryGuard:
         self.lifecycle(tmp_path, obs=bus)
         bus.close()
         assert len(exporter) >= 4  # enqueued/claimed/nacked/requeued
+
+
+class TestPoisonCoversEveryRecord:
+    """The poison must bite on every event type's real constructor.
+
+    Event records are NamedTuples, built by a positional ``__new__``;
+    ``type.__call__`` still runs ``__init__`` afterwards, which is what
+    :func:`poisoned` replaces.  If a record type ever stops passing
+    through ``__init__``, the guard tests above would pass vacuously —
+    this catches that.
+    """
+
+    @pytest.mark.parametrize(
+        "event_type", all_event_types(), ids=lambda t: t.__name__
+    )
+    def test_unguarded_construction_raises(self, event_type):
+        args = tuple(range(len(event_type._fields)))
+        with poisoned((event_type,)):
+            with pytest.raises(_Poisoned):
+                event_type(*args)
+        # Restored exactly: construction works again, positionally.
+        assert tuple(event_type(*args)) == args
+
+
+class TestEvictionIsACacheEvent:
+    """``Eviction`` (category ``cache``) is built behind ``wants_cache``."""
+
+    SPEC = ("gbc", "A", "4x4", "base")  # a point with L1 evictions
+
+    def run(self, categories):
+        kernel, dataset, topology, variant = self.SPEC
+        bus = EventBus()
+        sink = bus.attach(MetricsSink(), categories=categories)
+        run_kernel(kernel, dataset, named_config(topology), variant, obs=bus)
+        bus.close()
+        return sink
+
+    def test_cache_only_sink_counts_every_eviction(self):
+        everything = self.run(None)
+        cache_only = self.run(("cache",))
+        assert everything.evictions > 0
+        assert cache_only.evictions == everything.evictions
+
+    def test_coherence_only_bus_builds_no_evictions(self):
+        from repro.obs.events import Eviction
+
+        with poisoned((Eviction,)):
+            sink = self.run(("coherence",))
+        assert sink.writebacks  # coherence events still flowed
+        assert sink.evictions == 0
