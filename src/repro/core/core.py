@@ -18,6 +18,7 @@ gather/scatter instructions are blocking per the paper (Section 2.2).
 
 from __future__ import annotations
 
+from types import GeneratorType
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro.errors import ProgramError, SimulationError
@@ -83,8 +84,14 @@ class HwThread:
         self.barrier_since = 0
         self.handlers: List[Handler] = []
         self._pending_result: Any = None
+        generator = program(ctx)
+        if not isinstance(generator, GeneratorType):
+            raise ProgramError(
+                f"thread {global_tid}: program returned "
+                f"{type(generator).__name__}, expected a generator"
+            )
         # send(None) on a fresh generator is next(): no "started" flag.
-        self._send = program(ctx).send
+        self._send = generator.send
 
 
 class Core:
@@ -97,7 +104,6 @@ class Core:
         "lsu",
         "gsu",
         "threads",
-        "tracer",
         "obs",
         "done_events",
         "barrier_arrivals",
@@ -105,7 +111,6 @@ class Core:
         "_last_it",
         "_next_ready",
         "_issue_width",
-        "_maybe_observed",
     )
 
     def __init__(
@@ -115,7 +120,6 @@ class Core:
         coherence: CoherenceSystem,
         image: MemoryImage,
         stats: MachineStats,
-        tracer=None,
         obs=None,
     ) -> None:
         self.core_id = core_id
@@ -126,7 +130,6 @@ class Core:
             core_id, config, coherence, image, stats, self.port, obs=obs
         )
         self.threads: List[HwThread] = []
-        self.tracer = tracer
         self.obs = obs
         # Threads that finished / hit a barrier during the last tick(s).
         # The machine loop replaces these with shared lists so it learns
@@ -137,11 +140,10 @@ class Core:
         # Machine-loop iteration this core last ticked at; idle ticks
         # are skipped and their round-robin advances applied lazily.
         self._last_it = -1
-        # The machine's cached next_ready_cycle() for this core (used
-        # to validate wakeup-heap entries).
+        # The machine loop's cached next_ready_cycle() for this core:
+        # the cycle loop ticks the core when the clock reaches it.
         self._next_ready: Optional[int] = None
         self._issue_width = config.issue_width
-        self._maybe_observed = tracer is not None or obs is not None
 
     def add_thread(self, thread: HwThread) -> None:
         """Attach a hardware thread to this core."""
@@ -156,7 +158,7 @@ class Core:
 
     # -- scheduling --------------------------------------------------------
 
-    def tick(self, now: int, it: Optional[int] = None) -> Optional[int]:
+    def tick(self, now: int, it: int) -> Optional[int]:
         """Issue up to ``issue_width`` instructions at cycle ``now``.
 
         ``it`` is the machine loop's iteration counter.  The reference
@@ -173,8 +175,7 @@ class Core:
         n = len(threads)
         if n == 0:
             return None
-        if it is None:
-            it = self._last_it + 1
+        obs = self.obs
         if n == 1:
             # Single-thread core: no arbitration.  The round-robin
             # pointer is identically 0 and the issue loop visits one
@@ -197,8 +198,11 @@ class Core:
                     )
                 kind = instr.kind
                 completion, result = thread.handlers[kind](instr, now)
-                if self._maybe_observed:
-                    self._observe(thread, instr, now, completion)
+                if obs is not None and obs.wants_instr:
+                    obs.emit(TraceEvent(
+                        now, completion, thread.global_tid, self.core_id,
+                        kind, instr.sync,
+                    ))
                 thread._pending_result = result
                 if kind == _OP_BARRIER:
                     thread.state = T_BARRIER
@@ -213,7 +217,6 @@ class Core:
         self._last_it = it
         issued = 0
         width = self._issue_width
-        maybe_observed = self._maybe_observed
         next_ready: Optional[int] = None
         for i in range(n):
             thread = threads[(rr + i) % n]
@@ -237,8 +240,11 @@ class Core:
                         )
                     kind = instr.kind
                     completion, result = thread.handlers[kind](instr, now)
-                    if maybe_observed:
-                        self._observe(thread, instr, now, completion)
+                    if obs is not None and obs.wants_instr:
+                        obs.emit(TraceEvent(
+                            now, completion, thread.global_tid,
+                            self.core_id, kind, instr.sync,
+                        ))
                     thread._pending_result = result
                     if kind == _OP_BARRIER:
                         thread.state = T_BARRIER
@@ -264,24 +270,6 @@ class Core:
                 if best is None or r < best:
                     best = r
         return best
-
-    # -- observation ---------------------------------------------------------
-
-    def _observe(
-        self, thread: HwThread, instr: Instr, now: int, completion: int
-    ) -> None:
-        obs = self.obs
-        wants_instr = obs is not None and obs.wants_instr
-        if self.tracer is None and not wants_instr:
-            return
-        event = TraceEvent(
-            now, completion, thread.global_tid, self.core_id, instr.kind,
-            instr.sync,
-        )
-        if self.tracer is not None:
-            self.tracer.record(event)
-        if wants_instr:
-            obs.emit(event)
 
     # -- dispatch compilation ----------------------------------------------
 

@@ -33,8 +33,3 @@ class L1Port:
         self._next_free = start + 1
         self.busy_cycles += 1
         return start
-
-    @property
-    def next_free(self) -> int:
-        """First cycle at which the port is currently unbooked."""
-        return self._next_free

@@ -106,6 +106,6 @@ def check_program(program: Program) -> None:
     if inspect.isgeneratorfunction(program):
         return
     # Allow callables (e.g. functools.partial) that *return* generators;
-    # those can only be checked at call time, so accept them here.
+    # what they return is checked when each hardware thread calls them.
     if isinstance(program, type):
         raise ProgramError("program must be a generator function, not a class")

@@ -142,12 +142,6 @@ class CoherenceSystem:
         self._obtain_modified = self.protocol.obtain_modified
         self._prefetch_fill = self.protocol.prefetch_fill
 
-    def _line_addr(self, addr: int) -> int:
-        """Inline-friendly line rounding for the hot transactions."""
-        if addr < 0:
-            raise AlignmentError(f"negative address {addr:#x}")
-        return addr - addr % self._line_bytes
-
     # ------------------------------------------------------------------
     # public transactions
     # ------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """The event bus: near-zero overhead dispatch from model to sinks.
 
-:class:`EventBus` is the generalization of the old single-purpose
-``Machine(tracer=...)`` seam: any number of sinks, each subscribed to
-any subset of event categories (see :mod:`repro.obs.events`).
+:class:`EventBus` is the simulator's one observation seam: any number
+of sinks, each subscribed to any subset of event categories (see
+:mod:`repro.obs.events`).  Retired instructions are the ``instr``
+category; :class:`~repro.sim.trace.InstructionTrace` collects them.
 
 The hot-path contract
 ---------------------
@@ -147,7 +148,7 @@ class EventBus:
         """Resolve (and cache) the handlers for one event class."""
         route = []
         for sink in self._subscribers[event_type.category]:
-            # duck-typed sinks (e.g. Tracer) need not subclass Sink
+            # duck-typed sinks need not subclass Sink
             table = getattr(sink, "handlers", None)
             if table is None:
                 route.append(sink.on_event)

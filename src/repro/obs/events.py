@@ -9,8 +9,8 @@ the :class:`~repro.obs.bus.EventBus`:
 
 =============  ========================================================
 ``instr``      retired instructions (:class:`~repro.sim.trace.
-               TraceEvent` — the pre-existing tracer event, now also a
-               bus citizen)
+               TraceEvent`, collected by :class:`~repro.sim.trace.
+               InstructionTrace`)
 ``cache``      L1/L2 demand hits and misses, L1 evictions
 ``coherence``  invalidations (remote writes, inclusive-L2 victims) and
                dirty writebacks

@@ -14,11 +14,11 @@ process by
   private copy per machine (:class:`ImageCache`, one bulk dict copy
   instead of thousands of ``store_word`` calls); program objects are
   validated once per combination (:class:`ProgramCache`);
-* **merging the wakeup heaps of all live machines** into one
-  interleaved event heap keyed ``(cycle, machine_id, core_id)``, so a
-  single Python loop drains the whole batch and the per-iteration
-  bookkeeping of :meth:`~repro.sim.machine.Machine.batch_step` stays
-  hot across machines.
+* **interleaving all live machines** on one event heap keyed
+  ``(next cycle, machine_id)``, so a single Python loop drains the
+  whole batch and the per-iteration bookkeeping of
+  :meth:`~repro.sim.machine.Machine.batch_step` stays hot across
+  machines.
 
 This is the only unobserved simulation path: the executor (in-process
 or one group per pool task) and the queue worker both run every fresh
@@ -35,7 +35,7 @@ test_equivalence.py`` pins all 84 grid points through this runner, and
 ``tests/sim/test_batch.py`` property-checks random mixed batches,
 Section 5.2 microbenchmark specs included, against it.
 
-Observed runs (tracer / event-bus sinks) never come here: the
+Observed runs (event-bus sinks) never come here: the
 executor runs them one at a time through ``execute_spec``, so the
 zero-allocation guard holds and contention/phase attribution never
 mixes machines.
@@ -219,24 +219,23 @@ class BatchRunner:
                 kernels.append(kernel)
         setup_s = time.perf_counter() - began
 
-        # -- the merged event heap ------------------------------------
-        # One entry per live machine: (cycle, machine_id, core_id).
-        # Each pop runs that machine's own loop from its next cycle up
-        # to a chunk horizon; per-machine cycle sequences (and hence
-        # stats) are identical to Machine.run's single step.
+        # -- the event heap -------------------------------------------
+        # One entry per live machine: (cycle, machine_id).  Each pop
+        # runs that machine's own loop from its next cycle up to a
+        # chunk horizon; per-machine cycle sequences (and hence stats)
+        # are identical to Machine.run's single step.
         sim_began = time.perf_counter()
         chunk = self.chunk_cycles
-        heap: List[Tuple[int, int, int]] = []
-        for machine_id, machine in enumerate(machines):
-            start = machine.batch_begin()
-            heap.append((start, machine_id, machine.next_core_id()))
+        heap = [
+            (machine.batch_begin(), machine_id)
+            for machine_id, machine in enumerate(machines)
+        ]
         heapify(heap)
         while heap:
-            cycle, machine_id, _ = heappop(heap)
-            machine = machines[machine_id]
-            nxt = machine.batch_step(cycle, cycle + chunk)
+            cycle, machine_id = heappop(heap)
+            nxt = machines[machine_id].batch_step(cycle, cycle + chunk)
             if nxt is not None:
-                heappush(heap, (nxt, machine_id, machine.next_core_id()))
+                heappush(heap, (nxt, machine_id))
         sim_s = time.perf_counter() - sim_began
 
         verify_began = time.perf_counter()

@@ -312,8 +312,7 @@ def _make_spec_kernel(spec: RunSpec, n_threads: int):
 
 
 def execute_spec(
-    spec: RunSpec, verify: bool = True, tracer=None, obs=None,
-    on_machine=None,
+    spec: RunSpec, verify: bool = True, obs=None, on_machine=None,
 ) -> MachineStats:
     """Simulate one spec from scratch and return its verified stats.
 
@@ -321,7 +320,7 @@ def execute_spec(
     :meth:`~repro.sim.machine.Machine.run`.  Observed runs take it, and
     the tests compare every batched, pooled and queued result against
     it, so a number can never depend on *how* it was scheduled.
-    ``tracer`` and ``obs`` attach observers to the machine (see
+    ``obs`` attaches an event bus to the machine (see
     :func:`~repro.sim.runner.run_prepared`); ``on_machine`` is passed
     through for pre-run state capture (named memory regions).
     """
@@ -335,7 +334,6 @@ def execute_spec(
         spec.variant,
         verify=verify,
         warm=spec.warm,
-        tracer=tracer,
         obs=obs,
         on_machine=on_machine,
     )
@@ -400,13 +398,13 @@ class Executor:
     (sans provenance) to :func:`execute_spec`'s, and the
     golden-equivalence tests pin this.
 
-    Observers (``tracer``/``obs`` on :meth:`run`/:meth:`run_sweep`)
-    force two departures from the caching pipeline, both deliberate:
+    An observer (``obs`` on :meth:`run`/:meth:`run_sweep`) forces two
+    departures from the caching pipeline, both deliberate:
 
     * **One spec at a time, in-process.**  Observed specs run through
       :func:`execute_spec`: a bus shared by interleaved machines would
-      mix their events, and tracers and event buses hold live Python
-      state (open files, growing lists) that cannot cross a process
+      mix their events, and a bus's sinks hold live Python state
+      (open files, growing lists) that cannot cross a process
       boundary — under ``fork`` the observer would fill up in the
       *child* and the parent's copy would stay silently empty.
     * **No cache reads.**  A memo or store hit skips the simulation,
@@ -467,14 +465,13 @@ class Executor:
 
     # -- execution ------------------------------------------------------
 
-    def run(self, spec: RunSpec, tracer=None, obs=None) -> MachineStats:
+    def run(self, spec: RunSpec, obs=None) -> MachineStats:
         """Stats for one spec (simulating only if never seen before)."""
-        return self.run_sweep(Sweep([spec]), tracer=tracer, obs=obs)[spec]
+        return self.run_sweep(Sweep([spec]), obs=obs)[spec]
 
     def run_sweep(
         self,
         sweep: Union[Sweep, Iterable[RunSpec]],
-        tracer=None,
         obs=None,
     ) -> Dict[RunSpec, MachineStats]:
         """Execute a sweep; returns ``{input spec: stats}``.
@@ -485,13 +482,13 @@ class Executor:
         spec — pre-resolution, so callers can look up with the specs
         they built — to its stats.
 
-        Passing ``tracer`` or ``obs`` switches to observed mode: every
+        Passing ``obs`` switches to observed mode: every
         distinct spec simulates fresh, in-process, one at a time (see
         the class docstring for why caches and batching are bypassed).
         """
         if not isinstance(sweep, Sweep):
             sweep = Sweep(sweep)
-        observed = tracer is not None or obs is not None
+        observed = obs is not None
 
         digest_of: Dict[RunSpec, str] = {}
         pending: Dict[str, RunSpec] = {}
@@ -520,13 +517,11 @@ class Executor:
             pending[digest] = resolved
 
         if pending:
-            self._simulate(pending, tracer=tracer, obs=obs)
+            self._simulate(pending, obs=obs)
 
         return {spec: self._memo[digest] for spec, digest in digest_of.items()}
 
-    def _simulate(
-        self, pending: Dict[str, RunSpec], tracer=None, obs=None
-    ) -> None:
+    def _simulate(self, pending: Dict[str, RunSpec], obs=None) -> None:
         """Run every pending spec and record the results everywhere.
 
         Observed specs run one at a time through :func:`execute_spec`:
@@ -538,10 +533,10 @@ class Executor:
         small enough to keep every worker busy), or on queue workers
         (``queue://``).
         """
-        if tracer is not None or obs is not None:
+        if obs is not None:
             for digest, spec in pending.items():
                 started = time.perf_counter()
-                stats = execute_spec(spec, tracer=tracer, obs=obs)
+                stats = execute_spec(spec, obs=obs)
                 self._record(
                     digest, spec, stats, time.perf_counter() - started,
                     os.getpid(),

@@ -4,15 +4,18 @@
 coherence system over one flat memory image, accepts one program per
 hardware thread, and runs the cycle loop to completion.
 
-The loop is cycle-quantized but event-skipping, and event-*driven*: a
-min-heap of per-core wakeup cycles decides both which cores to tick
-and how far to jump when no thread can issue.  Cores that cannot issue
-at the current cycle are never visited (their round-robin pointers are
-advanced lazily, see :meth:`~repro.core.core.Core.tick`), a live-thread
-counter replaces the per-cycle all-done scan, and barrier arrivals are
-reported by the cores instead of being rediscovered by scanning every
-thread each cycle.  None of this changes observable timing: cycle
-counts and stats are bit-identical to the reference loop
+The loop is cycle-quantized but event-skipping, and event-*driven*:
+each core caches the cycle its next thread can issue, and one pass in
+core-id order ticks exactly the cores due at the current cycle and
+finds the minimum wakeup the clock jumps to when no thread can issue.
+A tick moves only its own core's wakeup, so the pass needs no
+priority queue.  Cores that cannot issue at the current cycle are not
+ticked (their round-robin pointers are advanced lazily, see
+:meth:`~repro.core.core.Core.tick`), a live-thread counter replaces
+the per-cycle all-done scan, and barrier arrivals are reported by the
+cores instead of being rediscovered by scanning every thread each
+cycle.  None of this changes observable timing: cycle counts and stats
+are bit-identical to the reference loop
 (``tests/bench/test_equivalence.py`` holds the golden values).
 
 The loop is written once, in :meth:`Machine.batch_step`, with one
@@ -29,8 +32,7 @@ paper accounts for it (Figure 5a).
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.errors import ConfigError, DeadlockError, SimulationError
 from repro.core.core import Core, HwThread, T_READY
@@ -54,14 +56,12 @@ class Machine:
         self,
         config: MachineConfig,
         image: Optional[MemoryImage] = None,
-        tracer=None,
         obs=None,
     ) -> None:
-        """``tracer`` observes retired instructions (legacy seam);
-        ``obs`` is an :class:`~repro.obs.bus.EventBus` receiving the
-        full typed event stream (instructions, cache/coherence
-        traffic, reservations, GLSC element outcomes).  Both are
-        optional and cost nothing when absent.
+        """``obs`` is an :class:`~repro.obs.bus.EventBus` receiving the
+        typed event stream (retired instructions, cache/coherence
+        traffic, reservations, GLSC element outcomes).  It is optional
+        and costs nothing when absent.
         """
         self.config = config
         self.image = image or MemoryImage(
@@ -74,11 +74,10 @@ class Machine:
         self.stats = MachineStats()
         self.obs = obs
         self.coherence = CoherenceSystem(config, self.stats, obs=obs)
-        self.tracer = tracer
         self.cores: List[Core] = [
             Core(
                 core_id, config, self.coherence, self.image, self.stats,
-                tracer=tracer, obs=obs,
+                obs=obs,
             )
             for core_id in range(config.n_cores)
         ]
@@ -199,34 +198,11 @@ class Machine:
         self._b_done_events = done_events
         self._b_barrier_arrivals = barrier_arrivals
         self._b_barrier_waiters: List[HwThread] = []
-        # Wakeup heap: (cycle, core_id) for every core that has a READY
-        # thread.  An entry is current iff its cycle still equals the
-        # core's cached ``_next_ready``; anything else is stale and is
-        # dropped when popped (values are re-pushed on every change, so
-        # a current entry always exists).
-        heap: List[Tuple[int, int]] = []
         for core in self.cores:
             core.done_events = done_events
             core.barrier_arrivals = barrier_arrivals
-            ready = core.next_ready_cycle()
-            core._next_ready = ready
-            if ready is not None:
-                heap.append((ready, core.core_id))
-        heapify(heap)
-        self._b_heap = heap
-        self._b_to_tick: List[int] = []
+            core._next_ready = core.next_ready_cycle()
         self._b_it = 0
-
-    def next_core_id(self) -> int:
-        """Core id of this machine's next wakeup (0 when none pending).
-
-        Purely informational — the batch driver uses it as the third
-        element of its ``(cycle, machine_id, core_id)`` heap key so the
-        interleave order is fully specified (machines are independent,
-        so the cross-machine order is unobservable either way).
-        """
-        heap = self._b_heap
-        return heap[0][1] if heap else 0
 
     def batch_step(self, cycle: int, horizon: int) -> Optional[int]:
         """Execute loop iterations from ``cycle`` up through ``horizon``.
@@ -242,83 +218,31 @@ class Machine:
         only at chunk boundaries.
         """
         cores = self.cores
-        heap = self._b_heap
+        # A single core is ticked every iteration (its next READY cycle
+        # *is* the clock), which skips the wakeup scan.
+        single = cores[0] if len(cores) == 1 else None
         max_cycles = self.config.max_cycles
         live = self._b_live
         done_events = self._b_done_events
         barrier_arrivals = self._b_barrier_arrivals
         barrier_waiters = self._b_barrier_waiters
         it = self._b_it
-        if len(cores) == 1:
-            # Single-core machines need no wakeup heap: the one core is
-            # ticked every iteration (its next READY cycle *is* the
-            # clock), which drops all heap bookkeeping from the loop.
-            # Tick/advance ordering, `it` sequencing, and every error
-            # edge match the general loop below exactly.
-            core = cores[0]
-            while True:
-                wake = core.tick(cycle, it)
-                if done_events:
-                    live -= len(done_events)
-                    del done_events[:]
-                if barrier_arrivals:
-                    for thread in barrier_arrivals:
-                        if thread.barrier_group != "all":
-                            raise SimulationError(
-                                f"unknown barrier group "
-                                f"{thread.barrier_group!r}; only 'all' is "
-                                f"supported by the machine barrier"
-                            )
-                    barrier_waiters.extend(barrier_arrivals)
-                    del barrier_arrivals[:]
-                if barrier_waiters and len(barrier_waiters) == live:
-                    self._release_barrier(barrier_waiters, cycle, heap)
-                    wake = core._next_ready
-                if live == 0:
-                    cycle += 1
-                    if cycle > max_cycles:
-                        raise SimulationError(
-                            f"exceeded max_cycles={max_cycles}; "
-                            f"likely livelock"
-                        )
-                    self._b_live = 0
-                    self.stats.cycles = max(
-                        t.stats.finish_cycle for t in self.threads
-                    )
-                    return None
-                if wake is None:
-                    raise DeadlockError(
-                        "all live threads are blocked at barriers that "
-                        "cannot be released"
-                    )
-                cycle = cycle + 1 if wake <= cycle else wake
-                if cycle > max_cycles:
-                    raise SimulationError(
-                        f"exceeded max_cycles={max_cycles}; likely livelock"
-                    )
-                it += 1
-                if cycle > horizon:
-                    self._b_live = live
-                    self._b_it = it
-                    return cycle
-        to_tick = self._b_to_tick
         while True:
-            # -- tick every core with a thread runnable at `cycle`,
-            #    in core-id order (shared L2-bank/directory state makes
-            #    the order observable).
-            del to_tick[:]
-            while heap and heap[0][0] <= cycle:
-                entry = heappop(heap)
-                cid = entry[1]
-                if cores[cid]._next_ready == entry[0] and cid not in to_tick:
-                    to_tick.append(cid)
-            to_tick.sort()
-            for cid in to_tick:
-                core = cores[cid]
-                ready = core.tick(cycle, it)
-                core._next_ready = ready
-                if ready is not None:
-                    heappush(heap, (ready, cid))
+            if single is not None:
+                wake = single.tick(cycle, it)
+            else:
+                # Tick every core with a thread runnable at `cycle`, in
+                # core-id order (shared L2-bank/directory state makes
+                # the order observable).  A tick moves only its own
+                # core's wakeup, so one pass sees every due core and
+                # leaves the minimum wakeup in `wake`.
+                wake = None
+                for core in cores:
+                    ready = core._next_ready
+                    if ready is not None and ready <= cycle:
+                        ready = core._next_ready = core.tick(cycle, it)
+                    if ready is not None and (wake is None or ready < wake):
+                        wake = ready
             # -- thread lifecycle events from this round of ticks
             if done_events:
                 live -= len(done_events)
@@ -334,34 +258,28 @@ class Machine:
                 barrier_waiters.extend(barrier_arrivals)
                 del barrier_arrivals[:]
             if barrier_waiters and len(barrier_waiters) == live:
-                self._release_barrier(barrier_waiters, cycle, heap)
+                wake = self._release_barrier(barrier_waiters, cycle)
             # -- advance the clock
-            if live == 0:
-                cycle += 1
-                if cycle > max_cycles:
-                    raise SimulationError(
-                        f"exceeded max_cycles={max_cycles}; likely livelock"
+            if wake is None:
+                if live:
+                    # Threads exist but none is READY: they must all be
+                    # parked at barriers that cannot be released.
+                    raise DeadlockError(
+                        "all live threads are blocked at barriers that "
+                        "cannot be released"
                     )
-                self._b_live = 0
-                self.stats.cycles = max(
-                    t.stats.finish_cycle for t in self.threads
-                )
-                return None
-            while heap and cores[heap[0][1]]._next_ready != heap[0][0]:
-                heappop(heap)
-            if not heap:
-                # Threads exist but none is READY: they must all be
-                # parked at barriers that cannot be released.
-                raise DeadlockError(
-                    "all live threads are blocked at barriers that cannot "
-                    "be released"
-                )
-            wake = heap[0][0]
+                wake = cycle + 1  # every thread has finished
             cycle = cycle + 1 if wake <= cycle else wake
             if cycle > max_cycles:
                 raise SimulationError(
                     f"exceeded max_cycles={max_cycles}; likely livelock"
                 )
+            if not live:
+                self._b_live = 0
+                self.stats.cycles = max(
+                    t.stats.finish_cycle for t in self.threads
+                )
+                return None
             it += 1
             if cycle > horizon:
                 self._b_live = live
@@ -371,12 +289,9 @@ class Machine:
     # -- internals --------------------------------------------------------------
 
     def _release_barrier(
-        self,
-        waiters: List[HwThread],
-        now: int,
-        heap: List[Tuple[int, int]],
-    ) -> None:
-        """Release all barrier waiters; reschedule their cores' wakeups."""
+        self, waiters: List[HwThread], now: int
+    ) -> Optional[int]:
+        """Release all barrier waiters; returns the next wakeup cycle."""
         release = now + BARRIER_RELEASE_COST
         cores_affected = set()
         for thread in waiters:
@@ -388,9 +303,10 @@ class Machine:
             thread.barrier_group = None
             cores_affected.add(thread.core_id)
         del waiters[:]
-        for cid in sorted(cores_affected):
+        for cid in cores_affected:
             core = self.cores[cid]
-            ready = core.next_ready_cycle()
-            core._next_ready = ready
-            if ready is not None:
-                heappush(heap, (ready, cid))
+            core._next_ready = core.next_ready_cycle()
+        return min(
+            (c._next_ready for c in self.cores if c._next_ready is not None),
+            default=None,
+        )

@@ -56,7 +56,6 @@ def run_prepared(
     variant: str,
     verify: bool = True,
     warm: bool = False,
-    tracer=None,
     obs=None,
     on_machine=None,
 ) -> MachineStats:
@@ -70,16 +69,16 @@ def run_prepared(
     to cold caches and rely on the stride prefetcher for their
     streaming inputs, as the paper's machine does.
 
-    ``tracer`` attaches an :class:`~repro.sim.trace.InstructionTrace`
-    (or compatible observer) to the machine; ``obs`` attaches an
-    :class:`~repro.obs.bus.EventBus` for the full typed event stream.
-    Observation never changes timing, only records it.
+    ``obs`` attaches an :class:`~repro.obs.bus.EventBus` for the typed
+    event stream (attach an :class:`~repro.sim.trace.InstructionTrace`
+    to it for retired instructions).  Observation never changes
+    timing, only records it.
 
     ``on_machine``, when given, is called with the machine right after
     the kernel allocates — diagnostics use it to capture pre-run state
     (e.g. the memory image's named regions for symbolization).
     """
-    machine = Machine(config, tracer=tracer, obs=obs)
+    machine = Machine(config, obs=obs)
     kernel.allocate(machine.image)
     if on_machine is not None:
         on_machine(machine)
@@ -101,13 +100,11 @@ def run_kernel(
     variant: str,
     verify: bool = True,
     warm: bool = False,
-    tracer=None,
     obs=None,
 ) -> RunResult:
     """Run kernel ``name`` on ``dataset`` under ``config``/``variant``."""
     kernel = make_kernel(name, dataset, config.n_threads)
     stats = run_prepared(
-        kernel, config, variant, verify=verify, warm=warm, tracer=tracer,
-        obs=obs,
+        kernel, config, variant, verify=verify, warm=warm, obs=obs,
     )
     return RunResult(name, dataset, variant, config, stats)

@@ -1,16 +1,21 @@
 """Instruction tracing and execution summaries.
 
-A :class:`Tracer` attached to a :class:`~repro.sim.machine.Machine`
-observes every retired instruction: thread, kind, issue cycle,
-completion cycle, and sync attribution.  This is the introspection
-seam for debugging kernels and for analyses the stock counters do not
-cover (latency histograms, per-kind time breakdowns, interleaving
-dumps).
+:class:`InstructionTrace` is an :class:`~repro.obs.bus.EventBus` sink
+for the ``instr`` category: attached to the bus a machine runs with,
+it receives every retired instruction (thread, kind, issue cycle,
+completion cycle, sync attribution) as a :class:`TraceEvent`.  This is
+the introspection seam for debugging kernels and for analyses the
+stock counters do not cover (latency histograms, per-kind time
+breakdowns, interleaving dumps)::
 
-:class:`InstructionTrace` is the standard collector; its
-:meth:`~InstructionTrace.kind_profile` reproduces the per-instruction
-latency breakdowns used while calibrating this model against the
-paper's Table 4.
+    bus = EventBus()
+    trace = bus.attach(InstructionTrace())
+    execute_spec(spec, obs=bus)
+    print(trace.render())
+
+Its :meth:`~InstructionTrace.kind_profile` reproduces the
+per-instruction latency breakdowns used while calibrating this model
+against the paper's Table 4.
 """
 
 from __future__ import annotations
@@ -20,20 +25,15 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, NamedTuple, Optional
 
 from repro.isa.instructions import Kind
+from repro.obs.bus import Sink
 from repro.records import record
 
-__all__ = ["TraceEvent", "Tracer", "InstructionTrace", "KindProfile"]
+__all__ = ["TraceEvent", "InstructionTrace", "KindProfile"]
 
 
 @record
 class TraceEvent(NamedTuple):
-    """One retired instruction.
-
-    Also an observability event (category ``"instr"``): the same
-    record a :class:`Tracer` receives flows over the
-    :class:`~repro.obs.bus.EventBus` to any sink subscribed to
-    instruction events.
-    """
+    """One retired instruction (event category ``"instr"``)."""
 
     category = "instr"
 
@@ -50,32 +50,6 @@ class TraceEvent(NamedTuple):
         return max(self.completion - self.cycle, 1)
 
 
-class Tracer:
-    """Observer protocol; attach via ``Machine(config, tracer=...)``.
-
-    Every Tracer is also a valid :class:`~repro.obs.bus.Sink` for the
-    ``instr`` category (``on_event`` delegates to :meth:`record`), so
-    the same collector works on either seam::
-
-        Machine(config, tracer=trace)            # classic
-        bus.attach(InstructionTrace())           # event-bus
-    """
-
-    #: EventBus subscription default (Sink protocol).
-    categories = ("instr",)
-
-    def record(self, event: TraceEvent) -> None:
-        """Called once per retired instruction, in issue order per core."""
-        raise NotImplementedError
-
-    def on_event(self, event: TraceEvent) -> None:
-        """Sink protocol: instruction events delegate to :meth:`record`."""
-        self.record(event)
-
-    def close(self) -> None:
-        """Sink protocol: nothing to flush by default."""
-
-
 @dataclass
 class KindProfile:
     """Aggregate statistics for one instruction kind."""
@@ -90,13 +64,15 @@ class KindProfile:
         return self.total_latency / self.count if self.count else 0.0
 
 
-class InstructionTrace(Tracer):
+class InstructionTrace(Sink):
     """Collects events (optionally capped) and summarizes them.
 
     ``limit`` bounds memory for long runs: once reached, events are
     dropped but the aggregate profile keeps updating, so summaries stay
     exact while the event list is a prefix.
     """
+
+    categories = ("instr",)
 
     def __init__(self, limit: Optional[int] = None) -> None:
         self.events: List[TraceEvent] = []
@@ -105,6 +81,7 @@ class InstructionTrace(Tracer):
         self._profile: Dict[Kind, KindProfile] = defaultdict(KindProfile)
 
     def record(self, event: TraceEvent) -> None:
+        """Called once per retired instruction, in issue order per core."""
         if self.limit is None or len(self.events) < self.limit:
             self.events.append(event)
         else:
@@ -113,6 +90,8 @@ class InstructionTrace(Tracer):
         profile.count += 1
         profile.total_latency += event.latency
         profile.max_latency = max(profile.max_latency, event.latency)
+
+    handlers = {TraceEvent: record}
 
     # -- queries ----------------------------------------------------------
 

@@ -105,7 +105,7 @@ class CannedExecutor:
     def __init__(self, table):
         self.table = table
 
-    def run_sweep(self, sweep, tracer=None, obs=None):
+    def run_sweep(self, sweep, obs=None):
         return {spec: self.table[spec] for spec in sweep}
 
 

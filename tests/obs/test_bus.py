@@ -106,7 +106,7 @@ class TestDispatch:
         bus = EventBus()
         trace = bus.attach(InstructionTrace())
         assert bus.wants_instr
-        assert not bus.wants_cache  # Tracer.categories == ("instr",)
+        assert not bus.wants_cache  # categories == ("instr",)
         event = instr_event()
         bus.emit(event)
         assert list(trace) == [event]

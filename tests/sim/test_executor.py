@@ -217,21 +217,23 @@ class TestTelemetry:
 
 
 class TestObservedRuns:
-    """A tracer/observer must actually see the run — never be silently
+    """An observer must actually see the run — never be silently
     bypassed by the memo, the store, or a worker process."""
 
     def test_tracer_forces_fresh_inprocess_simulation(self, tmp_path):
+        from repro.obs.bus import EventBus
         from repro.sim.trace import InstructionTrace
 
         store = ResultStore(tmp_path / "cache")
         Executor(store=store).run(SPEC)  # store now holds the result
 
         observed = Executor(store=store, jobs=4)
-        trace = InstructionTrace()
-        stats = observed.run(SPEC, tracer=trace)
+        bus = EventBus()
+        trace = bus.attach(InstructionTrace())
+        stats = observed.run(SPEC, obs=bus)
         assert observed.simulations == 1   # not served from the store
         assert observed.store_hits == 0
-        assert len(trace) > 0              # the tracer saw every retire
+        assert len(trace) > 0              # the trace saw every retire
         assert stats.cycles > 0
         # In-process: the recorded pid is this process, not a worker.
         import os
@@ -239,12 +241,14 @@ class TestObservedRuns:
         assert observed.telemetry[-1].worker_pid == os.getpid()
 
     def test_observed_run_bypasses_the_memo_too(self):
+        from repro.obs.bus import EventBus
         from repro.sim.trace import InstructionTrace
 
         executor = Executor()
         executor.run(SPEC)
-        trace = InstructionTrace()
-        executor.run(SPEC, tracer=trace)
+        bus = EventBus()
+        trace = bus.attach(InstructionTrace())
+        executor.run(SPEC, obs=bus)
         assert executor.simulations == 2
         assert len(trace) > 0
 
@@ -261,10 +265,13 @@ class TestObservedRuns:
         assert metrics.events_seen > 0
 
     def test_observed_and_unobserved_stats_agree(self):
+        from repro.obs.bus import EventBus
         from repro.sim.trace import InstructionTrace
 
         plain = Executor().run(SPEC)
-        traced = Executor().run(SPEC, tracer=InstructionTrace())
+        bus = EventBus()
+        bus.attach(InstructionTrace())
+        traced = Executor().run(SPEC, obs=bus)
         assert traced == plain  # observation never changes timing
 
 

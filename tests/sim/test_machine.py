@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.errors import ConfigError, DeadlockError, SimulationError
+from repro.errors import (
+    ConfigError, DeadlockError, ProgramError, SimulationError,
+)
 from repro.sim.config import MachineConfig, named_config
 from repro.sim.machine import Machine
 
@@ -72,6 +74,13 @@ class TestBasics:
     def test_run_without_programs_rejected(self):
         with pytest.raises(SimulationError):
             Machine(MachineConfig()).run()
+
+    def test_program_returning_a_non_generator_rejected(self):
+        # check_program accepts any callable (it may return a
+        # generator); the thread checks what the call returned.
+        machine = Machine(MachineConfig())
+        with pytest.raises(ProgramError, match="thread 0.*returned list"):
+            machine.add_program(lambda ctx: [ctx.alu()])
 
     def test_thread_placement_is_cyclic(self):
         cfg = MachineConfig(n_cores=2, threads_per_core=2)

@@ -3,17 +3,19 @@
 import pytest
 
 from repro.isa.instructions import Kind
+from repro.obs.bus import EventBus
 from repro.sim.config import MachineConfig
 from repro.sim.machine import Machine
 from repro.sim.trace import InstructionTrace, TraceEvent
 
 
-def traced_run(program_factory, n_threads=1, limit=None, **cfg):
+def traced_run(program_factory, n_threads=1, limit=None, bus=None, **cfg):
     defaults = dict(n_cores=1, threads_per_core=max(n_threads, 1),
                     simd_width=4)
     defaults.update(cfg)
-    trace = InstructionTrace(limit=limit)
-    machine = Machine(MachineConfig(**defaults), tracer=trace)
+    bus = bus or EventBus()
+    trace = bus.attach(InstructionTrace(limit=limit))
+    machine = Machine(MachineConfig(**defaults), obs=bus)
     for _ in range(n_threads):
         machine.add_program(program_factory(machine))
     machine.run()
@@ -93,28 +95,21 @@ class TestSummaries:
 
 
 class TestBusSeam:
-    """The tracer seam and the event bus deliver identical streams."""
+    """A trace sees the same stream alone or beside other sinks."""
 
-    def test_tracer_kwarg_and_instr_bus_agree(self):
-        from repro.obs.bus import EventBus
+    def test_trace_alone_and_beside_other_sinks_agree(self):
+        from repro.obs.sinks import MetricsSink
 
-        direct, _ = traced_run(simple_program)
+        alone, _ = traced_run(simple_program)
 
         bus = EventBus()
-        via_bus = bus.attach(InstructionTrace())
-        machine = Machine(
-            MachineConfig(n_cores=1, threads_per_core=1, simd_width=4),
-            obs=bus,
-        )
-        machine.add_program(simple_program(machine))
-        machine.run()
+        bus.attach(MetricsSink())  # subscribes to every category
+        beside, _ = traced_run(simple_program, bus=bus)
 
-        assert list(via_bus) == list(direct)
-        assert via_bus.kind_profile() == direct.kind_profile()
+        assert list(beside) == list(alone)
+        assert beside.kind_profile() == alone.kind_profile()
 
     def test_tracer_close_called_through_bus(self):
-        from repro.obs.bus import EventBus
-
         closes = []
 
         class Closing(InstructionTrace):
