@@ -29,10 +29,10 @@ Quickstart::
 
 The **stable public surface** for running experiments is re-exported
 here: declare runs as :class:`RunSpec` values, collect them in a
-:class:`Sweep`, execute locally with an :class:`Executor` (dedup,
-process-pool parallelism, a persistent :class:`ResultStore`), or
-against a remote sweep service with a :class:`SweepClient` — library
-users and service clients share one API::
+:class:`Sweep`, and execute them with an :class:`Executor` (dedup,
+process-pool parallelism, a persistent :class:`ResultStore`, or
+``backend="queue://<dir>"`` to hand the work to ``repro worker``
+processes)::
 
     from repro import Executor, ResultStore, RunSpec, Sweep
 
@@ -41,7 +41,7 @@ users and service clients share one API::
 
 Lower-level entry points remain importable from their homes:
 :mod:`repro.sim.runner` (run a named kernel on a named dataset),
-:mod:`repro.service` (work queue, worker loop, HTTP server), and
+:mod:`repro.service` (work queue and worker loop), and
 :mod:`repro.harness` (regenerate the paper's tables and figures).
 """
 
@@ -63,7 +63,6 @@ from repro.sim.executor import Executor, RunSpec, Sweep, execute_spec
 from repro.sim.machine import Machine
 from repro.sim.stats import MachineStats, ThreadStats
 from repro.sim.store import ResultStore
-from repro.service.client import SweepClient
 
 __version__ = "1.1.0"
 
@@ -88,7 +87,6 @@ __all__ = [
     "RunSpec",
     "SimulationError",
     "Sweep",
-    "SweepClient",
     "ThreadCtx",
     "ThreadStats",
     "VerificationError",

@@ -7,15 +7,16 @@ Usage::
     python -m repro.harness all --jobs 4 --telemetry
     python -m repro.harness fig8 --no-cache
 
-plus six non-experiment subcommands::
+plus eight non-experiment subcommands::
 
     python -m repro.harness trace hip --dataset A --out hip.trace.json
     python -m repro.harness profile tms --variant glsc
     python -m repro.harness contend tms --dataset tiny --json
     python -m repro.harness bench run --suite smoke --repeats 1
     python -m repro.harness cache stats
-    python -m repro.harness serve --queue queue://.glsc-queue
     python -m repro.harness worker queue://.glsc-queue --exit-when-empty
+    python -m repro.harness status queue://.glsc-queue
+    python -m repro.harness sweep-trace queue://.glsc-queue
 
 ``trace`` runs one kernel with the full event bus attached and writes
 a Chrome trace-event JSON file — open it at https://ui.perfetto.dev to
@@ -32,10 +33,12 @@ committed fidelity-reference bands (exit 1 on a regression), ``bench
 report`` renders the markdown verdict/trajectory report, and ``bench
 reference`` distills fresh reference bands from an archived run.
 ``cache`` inspects and maintains the on-disk result store
-(``ls`` / ``stats`` / ``prune``).  ``serve`` and ``worker`` are the
-sweep service (:mod:`repro.service`): ``serve`` answers spec-digest
-queries over HTTP from the store and enqueues misses; ``worker``
-drains a ``queue://`` work queue into the shared store.
+(``ls`` / ``stats`` / ``prune``).  ``worker``, ``status`` and
+``sweep-trace`` are the sweep service (:mod:`repro.service`):
+``worker`` drains a ``queue://`` work queue into the shared store
+(an experiment run with ``--backend queue://<dir>`` fills it),
+``status`` prints the queue depths and every worker's heartbeat, and
+``sweep-trace`` exports a traced drain as one Perfetto trace.
 
 Shared flags are defined once as argparse *parent* parsers
 (:func:`_cache_parent`, :func:`_jobs_parent`, :func:`_protocol_parent`,
@@ -805,75 +808,6 @@ def _main_cache(argv: List[str]) -> int:
     return 0
 
 
-def _main_serve(argv: List[str]) -> int:
-    """``serve``: the asyncio HTTP frontend over the result store."""
-    import asyncio
-
-    from repro.obs.log import StructLogger
-    from repro.service.queue import DEFAULT_LEASE_S, WorkQueue
-    from repro.service.server import SweepServer
-
-    parser = argparse.ArgumentParser(
-        prog="glsc-harness serve",
-        parents=[_cache_parent()],
-        description=(
-            "Serve spec-digest queries from the result store over "
-            "HTTP, enqueue misses onto a queue:// work queue for "
-            "`worker` processes to drain, and stream batched results."
-        ),
-    )
-    parser.add_argument(
-        "--queue", default=None, metavar="URL",
-        help="work queue for misses (queue://<dir>); without it the "
-             "server answers from the store only",
-    )
-    parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument("--port", type=int, default=8787)
-    parser.add_argument(
-        "--lease", type=float, default=DEFAULT_LEASE_S, metavar="S",
-        help=f"queue lease seconds before a claimed task is requeued "
-             f"(default: {DEFAULT_LEASE_S:.0f})",
-    )
-    parser.add_argument(
-        "--batch", type=int, default=256, metavar="N",
-        help="records per flushed chunk when streaming results "
-             "(default: 256)",
-    )
-    parser.add_argument(
-        "--log", type=Path, default=None, metavar="FILE",
-        help="append timestamped server log lines here (default: stderr)",
-    )
-    parser.add_argument(
-        "--log-format", default="text", choices=("text", "json"),
-        help="log line format: human text or structured JSON "
-             "(default: text)",
-    )
-    args = parser.parse_args(argv)
-
-    store = ResultStore(args.cache_dir)
-    stream = open(args.log, "a", encoding="utf-8") if args.log else None
-    logger = StructLogger(
-        stream=stream or sys.stderr, component="server",
-        fmt=args.log_format,
-    )
-    queue = (
-        WorkQueue.from_url(args.queue, lease_s=args.lease, logger=logger)
-        if args.queue else None
-    )
-    server = SweepServer(
-        store, queue, host=args.host, port=args.port, batch=args.batch,
-        log=logger,
-    )
-    try:
-        asyncio.run(server.serve_forever())
-    except KeyboardInterrupt:
-        pass
-    finally:
-        if stream is not None:
-            stream.close()
-    return 0
-
-
 def _main_worker(argv: List[str]) -> int:
     """``worker``: drain a queue:// work queue into the shared store."""
     from repro.obs.log import StructLogger
@@ -959,108 +893,67 @@ def _main_worker(argv: List[str]) -> int:
 
 
 def _main_status(argv: List[str]) -> int:
-    """``status``: one scrape of a running service's telemetry."""
-    from repro.service.client import ServiceError, SweepClient
+    """``status``: a drain's progress, read from the queue directory."""
+    from repro.obs.sweeptrace import read_heartbeats
+    from repro.service.queue import WorkQueue
 
     parser = argparse.ArgumentParser(
         prog="glsc-harness status",
         description=(
-            "Scrape a running `serve` instance's /v1/metrics and "
-            "render a live service summary: queue depths, task "
-            "counters, per-worker heartbeats, HTTP traffic."
+            "Show a queue:// drain in progress: pending and leased "
+            "task files, and each worker's last heartbeat (claims, "
+            "outcomes, simulation seconds, contention roll-up)."
         ),
     )
     parser.add_argument(
-        "url", nargs="?", default="http://127.0.0.1:8787",
-        help="service base URL (default: http://127.0.0.1:8787)",
+        "queue", metavar="URL", help="the work queue (queue://<dir>)"
     )
     parser.add_argument(
         "--json", action="store_true",
-        help="print the raw JSON metrics document instead of the table",
-    )
-    parser.add_argument(
-        "--verify", action="store_true",
-        help="ask the server to cross-check queue depths against a "
-             "directory scan",
+        help="print one JSON document instead of the summary",
     )
     args = parser.parse_args(argv)
 
-    client = SweepClient(args.url)
-    path = "/v1/metrics?format=json" + ("&verify=1" if args.verify else "")
-    try:
-        doc = client._request_json("GET", path)[1]
-    except ServiceError as exc:
-        print(f"status: {exc}", file=sys.stderr)
+    queue = WorkQueue.from_url(args.queue)
+    if not queue.root.is_dir():
+        print(f"status: no queue directory at {queue.root}",
+              file=sys.stderr)
         return 2
-    verify = doc.get("queue_verify")
-    verify_failed = bool(
-        args.verify and verify is not None and not verify.get("match")
-    )
+    counts = queue.counts()
+    workers = read_heartbeats(queue.root)
     if args.json:
+        doc = {"root": str(queue.root), **counts, "workers": workers}
         print(json.dumps(doc, indent=1, sort_keys=True))
-        return 1 if verify_failed else 0
+        return 0
 
-    metrics = doc.get("metrics", {})
-
-    def counter_total(name: str) -> float:
-        samples = (metrics.get(name) or {}).get("samples", [])
-        return sum(s.get("value", 0.0) for s in samples)
-
-    queue = doc.get("queue")
-    if queue:
-        print(
-            f"queue {queue.get('root', '?')}: "
-            f"{queue.get('pending', 0)} pending, "
-            f"{queue.get('leased', 0)} leased "
-            f"(lease {queue.get('lease_s', 0.0):.0f}s)"
-        )
-    tasks = metrics.get("queue_tasks_total") or {}
-    ops = {
-        (s.get("labels") or {}).get("op", "?"): s.get("value", 0)
-        for s in tasks.get("samples", [])
-    }
-    if ops:
-        print(
-            "tasks: " + ", ".join(
-                f"{int(ops[op])} {op}" for op in sorted(ops)
-            )
-        )
     print(
-        f"store: {int(counter_total('store_puts_total'))} puts; "
-        f"http: {doc.get('requests', 0)} requests, "
-        f"{int(counter_total('records_streamed_total'))} records streamed"
+        f"queue {queue.root}: {counts['pending']} pending, "
+        f"{counts['leased']} leased"
     )
-    workers = doc.get("workers", [])
-    if workers:
-        print(f"workers ({len(workers)} heartbeat(s)):")
-        for beat in workers:
-            print(
-                f"  {beat.get('worker_id', '?')}: "
-                f"{beat.get('claims', 0)} claims, "
-                f"{beat.get('executed', 0)} executed, "
-                f"{beat.get('skipped', 0)} skipped, "
-                f"{beat.get('failed', 0)} failed, "
-                f"{beat.get('sim_wall_s', 0.0):.2f}s simulating "
-                f"(heartbeat {beat.get('age_s', 0.0):.1f}s ago)"
-            )
-        lanes = sum(
-            beat.get("contention_failed_lanes", 0) for beat in workers
-        )
-        sc_failed = sum(
-            beat.get("contention_sc_failures", 0) for beat in workers
-        )
-        if lanes or sc_failed:
-            print(
-                f"contention: {int(lanes)} failed GLSC lanes, "
-                f"{int(sc_failed)} sc failures across workers"
-            )
-    if verify is not None:
-        verdict = "match" if verify.get("match") else "MISMATCH"
+    if not workers:
+        print("workers: no heartbeats yet")
+        return 0
+    print(f"workers ({len(workers)} heartbeat(s)):")
+    for beat in workers:
         print(
-            f"depth cross-check: {verdict} "
-            f"(scan {verify.get('scan')}, tracked {verify.get('tracked')})"
+            f"  {beat.get('worker_id', '?')}: "
+            f"{beat.get('claims', 0)} claims, "
+            f"{beat.get('executed', 0)} executed, "
+            f"{beat.get('skipped', 0)} skipped, "
+            f"{beat.get('failed', 0)} failed, "
+            f"{beat.get('sim_wall_s', 0.0):.2f}s simulating "
+            f"(heartbeat {beat['age_s']:.1f}s ago)"
         )
-    return 1 if verify_failed else 0
+    lanes = sum(beat.get("contention_failed_lanes", 0) for beat in workers)
+    sc_failed = sum(
+        beat.get("contention_sc_failures", 0) for beat in workers
+    )
+    if lanes or sc_failed:
+        print(
+            f"contention: {int(lanes)} failed GLSC lanes, "
+            f"{int(sc_failed)} sc failures across workers"
+        )
+    return 0
 
 
 def _main_sweep_trace(argv: List[str]) -> int:
@@ -1073,7 +966,7 @@ def _main_sweep_trace(argv: List[str]) -> int:
         prog="glsc-harness sweep-trace",
         description=(
             "Merge the span sidecars a traced sweep left under a "
-            "queue:// directory (server submit/stream, worker "
+            "queue:// directory (queue enqueue, worker "
             "claim/simulate/save) into one Chrome trace-event file — "
             "open it in https://ui.perfetto.dev to see the whole "
             "multi-worker drain, workers as process tracks."
@@ -1099,7 +992,7 @@ def _main_sweep_trace(argv: List[str]) -> int:
         print(
             f"no spans under {root}/spans"
             + (f" for trace {args.trace_id}" if args.trace_id else "")
-            + " — was the sweep submitted through the service?",
+            + " — was the sweep run with a queue:// backend?",
             file=sys.stderr,
         )
         return 2
@@ -1129,8 +1022,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _main_bench(argv[1:])
     if argv and argv[0] == "cache":
         return _main_cache(argv[1:])
-    if argv and argv[0] == "serve":
-        return _main_serve(argv[1:])
     if argv and argv[0] == "worker":
         return _main_worker(argv[1:])
     if argv and argv[0] == "status":
@@ -1145,7 +1036,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             "Regenerate the evaluation of 'Atomic Vector Operations on "
             "Chip Multiprocessors' (ISCA 2008) on the repro simulator. "
             "See also the 'trace', 'profile', 'contend', 'bench', "
-            "'cache', 'serve', 'worker', 'status', and 'sweep-trace' "
+            "'cache', 'worker', 'status', and 'sweep-trace' "
             "subcommands (--help on each)."
         ),
     )

@@ -24,10 +24,10 @@ the :class:`~repro.obs.bus.EventBus`:
                :mod:`repro.mem.messages`, emitted by the configured
                :class:`~repro.mem.protocol.CoherenceProtocol`
 ``service``    sweep-service lifecycle transitions
-               (:class:`TaskPhase`: submitted/enqueued/claimed/
-               simulated/saved/streamed, plus the unhappy-path
-               requeued/nacked/poisoned) — wall-clock events from the
-               queue/worker/server stack, not simulation-cycle events
+               (:class:`TaskPhase`: enqueued/claimed/simulated/saved,
+               plus the unhappy-path requeued/nacked/poisoned) —
+               wall-clock events from the queue/worker stack, not
+               simulation-cycle events
 =============  ========================================================
 
 Design constraints:
@@ -224,7 +224,7 @@ class TaskPhase(NamedTuple):
     timestamp — service events happen in real time across processes,
     not on a simulated cycle counter.  Emission sites follow the same
     ``obs is not None and obs.wants_service`` guard, so an unobserved
-    queue/worker/server allocates no event objects (guard-tested).
+    queue/worker allocates no event objects (guard-tested).
     """
 
     category = "service"
@@ -232,7 +232,7 @@ class TaskPhase(NamedTuple):
     ts: float
     digest: str
     phase: str     # a sweeptrace.PHASES member or requeued/nacked/poisoned
-    actor: str     # worker id / "server" / "queue"
+    actor: str     # worker id / "queue"
     trace_id: str  # "" when the task was submitted untraced
 
 

@@ -1,18 +1,10 @@
 """Structured logging for the sweep service (JSON or text lines).
 
-The service modules used ad-hoc ``print``-style callables
-(``log("worker x done")``); those lines were fine for a human tail
-but useless for correlation — which worker, which digest, which
-sweep?  :class:`StructLogger` replaces them with one event-per-line
-records that always carry the component and any *bound* correlation
-fields (``worker_id``, ``digest``, ``trace_id``), rendered either as
-JSON (machines) or as aligned text (humans; the CLI default).
-
-The legacy ``log: Callable[[str], None]`` parameters on
-``worker_loop``/``SweepServer`` keep working: :func:`to_logger` wraps
-such a callable into a text-format StructLogger, so existing callers
-(CLI ``--log``, ``--quiet``, tests passing ``log=``) see the same
-single-line strings they always did — now structured underneath.
+:class:`StructLogger` writes one event per line, and every record
+carries the component and any *bound* correlation fields
+(``worker_id``, ``digest``, ``trace_id``) — which worker, which
+digest, which sweep.  Lines render either as JSON (machines) or as
+aligned text (humans; the CLI default).
 """
 
 from __future__ import annotations
@@ -20,7 +12,7 @@ from __future__ import annotations
 import json
 import sys
 import time
-from typing import Any, Callable, Dict, IO, Optional, Union
+from typing import Any, Dict, IO, Optional
 
 __all__ = ["StructLogger", "NULL_LOGGER", "to_logger"]
 
@@ -30,9 +22,8 @@ LEVELS = ("debug", "info", "warning", "error")
 class StructLogger:
     """One-line-per-event logger with bound correlation fields.
 
-    ``emit`` (a callable taking the rendered line) wins over
-    ``stream``; with neither, the logger is disabled and every call
-    is a cheap no-op.  ``bind(**fields)`` returns a child logger
+    Without a ``stream`` the logger is disabled and every call is a
+    cheap no-op.  ``bind(**fields)`` returns a child logger
     whose records always include ``fields`` — bind the worker id
     once, every subsequent record carries it.
     """
@@ -40,7 +31,6 @@ class StructLogger:
     def __init__(
         self,
         stream: Optional[IO[str]] = None,
-        emit: Optional[Callable[[str], None]] = None,
         component: str = "",
         fmt: str = "json",
         fields: Optional[Dict[str, Any]] = None,
@@ -48,11 +38,10 @@ class StructLogger:
         if fmt not in ("json", "text"):
             raise ValueError(f"fmt must be 'json' or 'text', got {fmt!r}")
         self.stream = stream
-        self.emit = emit
         self.component = component
         self.fmt = fmt
         self.fields = dict(fields or {})
-        self.enabled = emit is not None or stream is not None
+        self.enabled = stream is not None
 
     @classmethod
     def null(cls) -> "StructLogger":
@@ -69,7 +58,6 @@ class StructLogger:
         """A child logger that always includes ``fields``."""
         child = StructLogger(
             stream=self.stream,
-            emit=self.emit,
             component=self.component,
             fmt=self.fmt,
             fields={**self.fields, **fields},
@@ -94,10 +82,7 @@ class StructLogger:
             if self.fmt == "text"
             else json.dumps(record, sort_keys=True, default=str)
         )
-        if self.emit is not None:
-            self.emit(line)
-        elif self.stream is not None:
-            print(line, file=self.stream, flush=True)
+        print(line, file=self.stream, flush=True)
 
     @staticmethod
     def _render_text(record: Dict[str, Any]) -> str:
@@ -131,21 +116,14 @@ NULL_LOGGER = StructLogger.null()
 
 
 def to_logger(
-    log: Union[StructLogger, Callable[[str], None], None],
-    component: str = "",
+    log: Optional[StructLogger], component: str = ""
 ) -> StructLogger:
-    """Coerce a legacy line callable (or None) into a StructLogger.
-
-    A StructLogger passes through (re-componented when it has none);
-    a plain callable becomes a text-format logger emitting through
-    it; ``None`` becomes the disabled logger.
-    """
+    """``log`` itself (given ``component`` when it has none), or the
+    disabled logger for ``None``."""
     if log is None:
         return NULL_LOGGER
-    if isinstance(log, StructLogger):
-        if component and not log.component:
-            logger = log.bind()
-            logger.component = component
-            return logger
-        return log
-    return StructLogger(emit=log, component=component, fmt="text")
+    if component and not log.component:
+        logger = log.bind()
+        logger.component = component
+        return logger
+    return log

@@ -2,12 +2,12 @@
 
 Where :mod:`repro.obs.events` streams *simulation* micro-events, this
 module counts *service* macro-events: tasks submitted and claimed,
-store puts, HTTP requests and their latencies.  One
-:class:`MetricsRegistry` per process aggregates everything the sweep
-service does; :meth:`MetricsRegistry.render_prometheus` exposes it in
-the Prometheus text format 0.0.4 (what ``GET /v1/metrics`` serves and
-what CI scrapes mid-drain) and :meth:`MetricsRegistry.to_dict` as a
-JSON document for programmatic consumers (``repro status --json``).
+store puts and hits, per-task simulation seconds.  One
+:class:`MetricsRegistry` per process aggregates everything the queue,
+store and worker loop in that process do; callers read a series back
+with :meth:`MetricsRegistry.get`.  Workers in other processes publish
+their tallies as heartbeat files instead (see
+:mod:`repro.obs.sweeptrace`).
 
 Design points:
 
@@ -22,8 +22,8 @@ Design points:
 * **Labels** — metrics declare their label *names* up front; samples
   are keyed by label-value tuples (``counter.inc(op="acked")``).
 * **Thread-safe** — one lock per registry guards registration, one
-  per metric guards samples; the server's asyncio loop, worker
-  threads in tests, and the CLI can share a registry.
+  per metric guards samples; worker threads in tests and the CLI
+  can share a registry.
 * **No global mutable state required** — components accept a
   ``metrics=`` registry; :func:`get_registry` provides the process
   default for the common single-registry case.
@@ -31,9 +31,8 @@ Design points:
 
 from __future__ import annotations
 
-import math
 import threading
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigError
 
@@ -47,8 +46,8 @@ __all__ = [
     "DEFAULT_BUCKETS",
 ]
 
-#: Default histogram buckets (seconds): spans sub-millisecond HTTP
-#: handling up to minute-long simulations.
+#: Default histogram buckets (seconds): sub-millisecond store and
+#: queue operations up to minute-long simulations.
 DEFAULT_BUCKETS = (
     0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0, 30.0, 60.0,
 )
@@ -63,26 +62,6 @@ def _label_key(
             f"got {tuple(sorted(labels))}"
         )
     return tuple(str(labels[name]) for name in labelnames)
-
-
-def _render_labels(
-    labelnames: Sequence[str], values: Tuple[str, ...],
-    extra: Optional[Tuple[Tuple[str, str], ...]] = None,
-) -> str:
-    pairs = list(zip(labelnames, values)) + list(extra or ())
-    if not pairs:
-        return ""
-    body = ",".join(
-        f'{name}="{_escape(value)}"' for name, value in pairs
-    )
-    return "{" + body + "}"
-
-
-def _escape(value: str) -> str:
-    return (
-        str(value).replace("\\", "\\\\").replace('"', '\\"')
-        .replace("\n", "\\n")
-    )
 
 
 class _Metric:
@@ -136,28 +115,6 @@ class Counter(_Metric):
         with self._lock:
             return sorted(self._values.items())
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "type": self.kind,
-            "help": self.help,
-            "samples": [
-                {"labels": dict(zip(self.labelnames, key)), "value": value}
-                for key, value in self.samples()
-            ],
-        }
-
-    def render(self) -> List[str]:
-        lines = [
-            f"# HELP {self.name} {self.help}",
-            f"# TYPE {self.name} counter",
-        ]
-        samples = self.samples() or ([((), 0.0)] if not self.labelnames
-                                     else [])
-        for key, value in samples:
-            labels = _render_labels(self.labelnames, key)
-            lines.append(f"{self.name}{labels} {_fmt(value)}")
-        return lines
-
 
 class Gauge(Counter):
     """A value that can go up and down (depths, timestamps)."""
@@ -176,18 +133,6 @@ class Gauge(Counter):
         key = self._key(labels)
         with self._lock:
             self._values[key] = float(value)
-
-    def render(self) -> List[str]:
-        lines = [
-            f"# HELP {self.name} {self.help}",
-            f"# TYPE {self.name} gauge",
-        ]
-        samples = self.samples() or ([((), 0.0)] if not self.labelnames
-                                     else [])
-        for key, value in samples:
-            labels = _render_labels(self.labelnames, key)
-            lines.append(f"{self.name}{labels} {_fmt(value)}")
-        return lines
 
 
 class Histogram(_Metric):
@@ -242,59 +187,9 @@ class Histogram(_Metric):
                 for key, counts in self._counts.items()
             )
 
-    def to_dict(self) -> Dict[str, Any]:
-        out = []
-        for key, counts, total in self.samples():
-            cumulative = {}
-            running = 0
-            for bound, n in zip(self.bounds, counts):
-                running += n
-                cumulative[_fmt(bound)] = running
-            cumulative["+Inf"] = running + counts[-1]
-            out.append({
-                "labels": dict(zip(self.labelnames, key)),
-                "buckets": cumulative,
-                "count": sum(counts),
-                "sum": total,
-            })
-        return {"type": self.kind, "help": self.help, "samples": out}
-
-    def render(self) -> List[str]:
-        lines = [
-            f"# HELP {self.name} {self.help}",
-            f"# TYPE {self.name} histogram",
-        ]
-        for key, counts, total in self.samples():
-            running = 0
-            for bound, n in zip(self.bounds, counts):
-                running += n
-                labels = _render_labels(
-                    self.labelnames, key, (("le", _fmt(bound)),)
-                )
-                lines.append(f"{self.name}_bucket{labels} {running}")
-            labels = _render_labels(self.labelnames, key, (("le", "+Inf"),))
-            lines.append(
-                f"{self.name}_bucket{labels} {running + counts[-1]}"
-            )
-            plain = _render_labels(self.labelnames, key)
-            lines.append(f"{self.name}_sum{plain} {_fmt(total)}")
-            lines.append(
-                f"{self.name}_count{plain} {sum(counts)}"
-            )
-        return lines
-
-
-def _fmt(value: float) -> str:
-    """Prometheus-style number formatting (ints without the .0)."""
-    if math.isinf(value):
-        return "+Inf" if value > 0 else "-Inf"
-    if float(value).is_integer():
-        return str(int(value))
-    return repr(float(value))
-
 
 class MetricsRegistry:
-    """A named collection of metrics with text/JSON renderings."""
+    """A named collection of metrics (get-or-create by name)."""
 
     def __init__(self) -> None:
         self._metrics: Dict[str, _Metric] = {}
@@ -353,33 +248,6 @@ class MetricsRegistry:
     def get(self, name: str) -> Optional[_Metric]:
         with self._lock:
             return self._metrics.get(name)
-
-    def names(self) -> List[str]:
-        with self._lock:
-            return sorted(self._metrics)
-
-    # -- renderings ------------------------------------------------------
-
-    def render_prometheus(
-        self, extra_lines: Iterable[str] = ()
-    ) -> str:
-        """The registry in Prometheus text exposition format 0.0.4.
-
-        ``extra_lines`` lets the server append series it derives from
-        outside the registry (worker heartbeat files).
-        """
-        lines: List[str] = []
-        for name in self.names():
-            metric = self._metrics[name]
-            lines.extend(metric.render())
-        lines.extend(extra_lines)
-        return "\n".join(lines) + "\n"
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON view: ``{metric name: {type, help, samples}}``."""
-        return {
-            name: self._metrics[name].to_dict() for name in self.names()
-        }
 
 
 #: The process-default registry (components take ``metrics=`` to

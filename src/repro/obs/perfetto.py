@@ -259,9 +259,9 @@ class SweepTraceExporter(Sink):
 
     * pid 0 — the **sweep lifecycle** process: one async span ("b"/"e")
       per spec digest, stretching from its first recorded phase
-      (normally ``submitted``) to its last (normally ``streamed``),
-      with an instant per phase transition;
-    * one **process per actor** (each worker, the server, the queue):
+      (normally ``enqueued``) to its last (normally ``saved``), with
+      an instant per phase transition;
+    * one **process per actor** (each worker, the queue):
       a worker's ``claimed → simulated`` interval renders as a
       ``simulate`` slice and ``simulated → saved`` as a ``save``
       slice, so a two-worker drain shows both workers' interleaved

@@ -1,8 +1,7 @@
 """Distributed sweep tracing: lifecycle spans + worker heartbeats.
 
-A sweep crossing the service (``POST /v1/sweep`` → queue → N worker
-processes → store → streamed back) has no single process that saw the
-whole story.  This module gives it one: every participant appends
+A sweep crossing the service (executor → queue → N worker processes
+→ store) has no single process that saw the whole story.  This module gives it one: every participant appends
 *span records* — ``{trace_id, digest, phase, ts, actor, pid, host}``
 — to its own O_APPEND sidecar under ``<queue>/spans/``, and
 :func:`collect_spans` merges them afterwards into one timeline that
@@ -11,18 +10,17 @@ Chrome trace (workers as process tracks; see ``repro sweep-trace``).
 
 Phases, in lifecycle order::
 
-    submitted -> enqueued -> claimed -> simulated -> saved -> streamed
+    enqueued -> claimed -> simulated -> saved
 
 (``requeued``/``nacked``/``poisoned`` may interleave on unhappy
-paths.)  The ``trace_id`` is minted per sweep submission (server or
-executor), rides in every queue payload, and lands in the stored
-record's provenance — so a number in the store names the drain that
-produced it.
+paths.)  The ``trace_id`` is minted per executor drain, rides in every
+queue payload, and lands in the stored record's provenance — so a
+number in the store names the drain that produced it.
 
 Workers also drop *heartbeat* files (``<queue>/workers/<id>.json``,
-atomic replace) carrying their live counter snapshot; the server's
-``/v1/metrics`` merges them into per-worker series, which is how one
-scrape shows claims/acks across processes that share nothing but the
+atomic replace) carrying their live counter snapshot;
+``repro status queue://<dir>`` reads them, which is how one command
+shows claims and outcomes across processes that share nothing but the
 queue directory.
 """
 
@@ -49,9 +47,7 @@ __all__ = [
 ]
 
 #: Lifecycle phases in canonical order (unhappy-path phases excluded).
-PHASES = (
-    "submitted", "enqueued", "claimed", "simulated", "saved", "streamed",
-)
+PHASES = ("enqueued", "claimed", "simulated", "saved")
 
 SPANS_DIRNAME = "spans"
 WORKERS_DIRNAME = "workers"

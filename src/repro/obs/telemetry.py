@@ -90,11 +90,10 @@ def run_provenance(wall_time_s: float) -> Dict[str, Any]:
 
     With the store now shared between hosts by the sweep service,
     every record carries *who* produced it: ``host`` (the machine) and
-    ``worker_id`` (the service worker's name, from ``REPRO_WORKER_ID``
-    when running under ``repro worker``; ``""`` for plain executors).
-    The worker additionally stamps the sweep's ``trace_id`` into the
-    provenance it saves (see :mod:`repro.obs.sweeptrace`), so a stored
-    number names the distributed drain that produced it.
+    ``worker_id`` (``""`` here; a ``repro worker`` overwrites it with
+    its own name).  The worker also stamps the sweep's ``trace_id``
+    into the provenance it saves (see :mod:`repro.obs.sweeptrace`), so
+    a stored number names the distributed drain that produced it.
     """
     from repro import __version__
 
@@ -103,7 +102,7 @@ def run_provenance(wall_time_s: float) -> Dict[str, Any]:
         "python": platform.python_version(),
         "platform": platform.platform(),
         "host": platform.node(),
-        "worker_id": os.environ.get("REPRO_WORKER_ID", ""),
+        "worker_id": "",
         "wall_time_s": wall_time_s,
         "worker_pid": os.getpid(),
         "created": time.time(),

@@ -39,8 +39,8 @@ machine:
   so a crash between the two leaves a lease that expires and requeues
   — the re-run produces a value-equal record (simulations are
   deterministic), which the next worker skips via the store check.
-* **requeue** — anyone (workers between claims, the server on a
-  timer, the executor while polling) may call
+* **requeue** — anyone (workers between claims, the executor while
+  polling) may call
   :meth:`WorkQueue.requeue_expired`: leased files whose deadline
   passed are renamed back into ``pending/``.  The nonce in the leased
   filename keeps a straggler's late ``ack`` from deleting a lease now
@@ -49,12 +49,9 @@ machine:
 Telemetry: every transition bumps a ``queue_tasks_total{op=...}``
 counter in the queue's :class:`~repro.obs.metrics.MetricsRegistry`
 (submitted/claimed/acked/nacked/requeued/poisoned), and
-:meth:`WorkQueue.counts` serves pending/leased depths from
-registry-backed tallies maintained incrementally by this instance's
-own operations — refreshed by a directory scan at most once per
-``counts_ttl_s`` (other processes mutate the same directories), or on
-demand with ``counts(verify=True)`` / :meth:`verify_counts`, the
-``--verify`` cross-check.  When an :class:`~repro.obs.bus.EventBus`
+:meth:`WorkQueue.counts` scans the directories for the pending/leased
+depths (other processes move the same files, so there is nothing
+local to cache).  When an :class:`~repro.obs.bus.EventBus`
 is attached (``obs=``), transitions additionally emit
 :class:`~repro.obs.events.TaskPhase` events behind the standard
 ``wants_service`` zero-allocation guard.
@@ -90,9 +87,6 @@ __all__ = ["Task", "WorkQueue", "parse_queue_url", "DEFAULT_LEASE_S"]
 
 #: How long a claim holds a task before anyone may requeue it.
 DEFAULT_LEASE_S = 120.0
-
-#: How long cached queue depths are served before a rescan (seconds).
-DEFAULT_COUNTS_TTL_S = 1.0
 
 #: URL scheme selecting this backend (``queue:///abs`` or ``queue://rel``).
 QUEUE_SCHEME = "queue://"
@@ -145,7 +139,6 @@ class WorkQueue:
         metrics: Optional[MetricsRegistry] = None,
         logger: Optional[StructLogger] = None,
         obs: Optional[Any] = None,
-        counts_ttl_s: float = DEFAULT_COUNTS_TTL_S,
     ) -> None:
         if lease_s <= 0:
             raise ConfigError(f"lease_s must be > 0, got {lease_s}")
@@ -157,30 +150,16 @@ class WorkQueue:
         self.metrics = metrics if metrics is not None else get_registry()
         self.logger = (logger or NULL_LOGGER).bind(queue=str(self.root))
         self.obs = obs
-        self.counts_ttl_s = counts_ttl_s
         self._tasks_total = self.metrics.counter(
             "queue_tasks_total",
             "Queue state transitions by operation",
             labelnames=("op",),
-        )
-        self._pending_gauge = self.metrics.gauge(
-            "queue_pending_depth", "Unclaimed tasks in the queue",
-            labelnames=("queue",),
-        )
-        self._leased_gauge = self.metrics.gauge(
-            "queue_leased_depth", "Claimed (leased) tasks in the queue",
-            labelnames=("queue",),
         )
         self._batch_size_hist = self.metrics.histogram(
             "queue_batch_size",
             "Specs per submitted queue file (1 = unbatched)",
             buckets=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0),
         )
-        # Instance-local depth cache: None until the first scan; then
-        # maintained incrementally by this instance's own transitions
-        # and refreshed by TTL (other processes share the directory).
-        self._depth: Optional[Dict[str, int]] = None
-        self._scanned_at = 0.0
         self._span_log: Optional[SpanLog] = None
 
     @classmethod
@@ -192,23 +171,9 @@ class WorkQueue:
 
     # -- telemetry plumbing ----------------------------------------------
 
-    def _count(self, op: str, pending_delta: int, leased_delta: int) -> None:
-        """One transition: bump the op counter, track the depths."""
+    def _count(self, op: str) -> None:
+        """One transition: bump the op counter."""
         self._tasks_total.inc(op=op)
-        if self._depth is not None:
-            self._depth["pending"] = max(
-                0, self._depth["pending"] + pending_delta
-            )
-            self._depth["leased"] = max(
-                0, self._depth["leased"] + leased_delta
-            )
-            self._publish_depth()
-
-    def _publish_depth(self) -> None:
-        if self._depth is not None:
-            queue = str(self.root)
-            self._pending_gauge.set(self._depth["pending"], queue=queue)
-            self._leased_gauge.set(self._depth["leased"], queue=queue)
 
     def _phase(
         self, phase: str, digest: str, actor: str, trace_id: str
@@ -239,7 +204,7 @@ class WorkQueue:
         """Enqueue one spec; False if its digest is already in flight.
 
         ``digest`` may be passed to spare re-hashing when the caller
-        (the executor, the server) already resolved it.  ``trace_id``
+        (the executor) already resolved it.  ``trace_id``
         threads a sweep-scoped trace through the payload: claimed
         tasks carry it, the worker stamps it into the stored record's
         provenance, and an ``enqueued`` span lands in the queue's
@@ -324,7 +289,7 @@ class WorkQueue:
             except OSError:
                 pass
             raise
-        self._count("submitted", +1, 0)
+        self._count("submitted")
         self._batch_size_hist.observe(float(len(group)))
         self.logger.debug(
             "submit", digest=name[:12], size=len(group), trace_id=trace_id
@@ -366,13 +331,7 @@ class WorkQueue:
         livelocking this one (pending tasks sort stably, so a nacked
         task would otherwise be the very next claim again).
         """
-        try:
-            candidates = sorted(os.listdir(self.pending_dir))
-        except OSError:
-            return None
-        for name in candidates:
-            if not name.endswith(".json") or name.startswith("."):
-                continue
+        for name in self._task_files(self.pending_dir):
             digest = name[: -len(".json")]
             if digest in exclude:
                 continue
@@ -391,14 +350,14 @@ class WorkQueue:
                     os.unlink(lease_path)
                 except OSError:
                     pass
-                self._count("poisoned", -1, 0)
+                self._count("poisoned")
                 self.logger.warning(
                     "poison-drop", digest=digest[:12], worker_id=worker_id
                 )
                 self._phase("poisoned", digest, worker_id or "queue", "")
                 continue
             self._stamp_lease(task, worker_id)
-            self._count("claimed", -1, +1)
+            self._count("claimed")
             self.logger.debug(
                 "claim", digest=digest[:12], worker_id=worker_id,
                 trace_id=task.trace_id,
@@ -464,13 +423,13 @@ class WorkQueue:
         store, and the requeued copy will be skipped by the next
         worker's store check.  (A late ack of a requeued task is not
         counted: the nonce-named unlink fails, so the replacement's
-        lease — and the leased depth — stays intact.)
+        lease stays intact.)
         """
         try:
             os.unlink(task.lease_path)
         except OSError:
             return
-        self._count("acked", 0, -1)
+        self._count("acked")
         self.logger.debug("ack", digest=task.digest[:12])
 
     def nack(self, task: Task) -> None:
@@ -481,7 +440,7 @@ class WorkQueue:
             )
         except OSError:
             return
-        self._count("nacked", +1, -1)
+        self._count("nacked")
         self.logger.info(
             "nack", digest=task.digest[:12], trace_id=task.trace_id
         )
@@ -500,13 +459,7 @@ class WorkQueue:
         """
         now = time.time() if now is None else now
         requeued: List[str] = []
-        try:
-            names = sorted(os.listdir(self.leased_dir))
-        except OSError:
-            return requeued
-        for name in names:
-            if not name.endswith(".json") or name.startswith("."):
-                continue
+        for name in self._task_files(self.leased_dir):
             path = self.leased_dir / name
             digest = name.split(".", 1)[0]
             deadline = None
@@ -530,7 +483,7 @@ class WorkQueue:
                 requeued.append(digest)
             except OSError:
                 continue  # acked or requeued by someone else
-            self._count("requeued", +1, -1)
+            self._count("requeued")
             self.logger.info(
                 "requeue-expired", digest=digest[:12], trace_id=trace_id
             )
@@ -541,76 +494,31 @@ class WorkQueue:
 
     # -- introspection ---------------------------------------------------
 
-    def _scan_counts(self) -> Dict[str, int]:
-        """Ground truth by directory scan (the pre-telemetry counts)."""
-        out = {}
-        for key, directory in (
-            ("pending", self.pending_dir), ("leased", self.leased_dir)
-        ):
-            try:
-                out[key] = sum(
-                    1 for name in os.listdir(directory)
-                    if name.endswith(".json") and not name.startswith(".")
-                )
-            except OSError:
-                out[key] = 0
-        return out
-
-    def counts(self, verify: bool = False) -> Dict[str, int]:
-        """``{"pending": n, "leased": n}`` — tracked, scan-refreshed.
-
-        Served from the registry-backed depth tallies this instance
-        maintains on its own transitions; a directory scan refreshes
-        them when they have never been primed, when ``counts_ttl_s``
-        has elapsed since the last scan (other processes move files
-        too), or always with ``verify=True``.
-        """
-        now = time.monotonic()
-        if (
-            verify
-            or self._depth is None
-            or now - self._scanned_at > self.counts_ttl_s
-        ):
-            self._depth = self._scan_counts()
-            self._scanned_at = now
-            self._publish_depth()
-        return dict(self._depth)
-
-    def verify_counts(self) -> Dict[str, Any]:
-        """Cross-check the tracked depths against a directory scan.
-
-        Returns ``{"tracked", "scan", "match"}`` and resyncs the
-        tracked depths to the scan — the ``repro status --verify`` /
-        ``/v1/metrics?verify=1`` view.  A mismatch is not corruption:
-        tracked depths lag other processes' transitions by up to the
-        scan TTL by design.
-        """
-        tracked = dict(self._depth) if self._depth is not None else None
-        scan = self._scan_counts()
-        self._depth = dict(scan)
-        self._scanned_at = time.monotonic()
-        self._publish_depth()
-        return {
-            "tracked": tracked,
-            "scan": scan,
-            "match": tracked is None or tracked == scan,
-        }
-
-    def is_empty(self) -> bool:
-        counts = self.counts(verify=True)
-        return counts["pending"] == 0 and counts["leased"] == 0
-
-    def pending_digests(self) -> List[str]:
-        """Digests currently pending (claim order), leased excluded."""
+    @staticmethod
+    def _task_files(directory: Path) -> List[str]:
+        """Task file names in ``directory``, sorted (temp files skipped)."""
         try:
-            names = sorted(os.listdir(self.pending_dir))
+            names = sorted(os.listdir(directory))
         except OSError:
             return []
         return [
-            name[: -len(".json")] for name in names
+            name for name in names
             if name.endswith(".json") and not name.startswith(".")
         ]
 
-    def describe(self) -> Dict[str, Any]:
-        return {"root": str(self.root), "lease_s": self.lease_s,
-                **self.counts()}
+    def counts(self) -> Dict[str, int]:
+        """``{"pending": n, "leased": n}`` by directory scan."""
+        return {
+            "pending": len(self._task_files(self.pending_dir)),
+            "leased": len(self._task_files(self.leased_dir)),
+        }
+
+    def is_empty(self) -> bool:
+        return not any(self.counts().values())
+
+    def pending_digests(self) -> List[str]:
+        """Digests currently pending (claim order), leased excluded."""
+        return [
+            name[: -len(".json")]
+            for name in self._task_files(self.pending_dir)
+        ]

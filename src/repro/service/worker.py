@@ -16,10 +16,11 @@ Telemetry: the loop counts claims, store-skips, and task outcomes in
 the queue's metrics registry (``worker_claims_total`` etc., labelled
 by worker id), observes per-task simulation wall time into a
 ``worker_sim_seconds`` histogram, and — because workers are separate
-*processes* whose registries the server cannot see — periodically
+*processes* whose registries nobody else can see — periodically
 snapshots its tallies into ``<queue>/workers/<worker_id>.json``
 heartbeat files (:func:`~repro.obs.sweeptrace.write_heartbeat`) that
-the server's ``/v1/metrics`` endpoint aggregates.  When a claimed
+``repro status queue://<dir>`` reads.  Every record a worker saves
+names it in ``provenance["worker_id"]``.  When a claimed
 task carries a sweep ``trace_id``, the worker appends
 ``claimed``/``simulated``/``saved`` spans to its sidecar in the queue
 directory and stamps the trace id into the stored record's
@@ -32,7 +33,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Union
+from typing import List, Optional
 
 from repro.obs.log import StructLogger, to_logger
 from repro.obs.metrics import MetricsRegistry
@@ -156,7 +157,7 @@ def worker_loop(
     exit_when_empty: bool = False,
     idle_exit_s: Optional[float] = None,
     max_tasks: Optional[int] = None,
-    log: Union[StructLogger, Callable[[str], None], None] = None,
+    log: Optional[StructLogger] = None,
     heartbeat_s: float = DEFAULT_HEARTBEAT_S,
 ) -> WorkerSummary:
     """Drain the queue until a stop condition holds.
@@ -169,21 +170,17 @@ def worker_loop(
     claimed file).  With none of them set the
     loop runs forever — the always-on service worker.
 
-    ``log`` accepts a :class:`~repro.obs.log.StructLogger`, a plain
-    ``Callable[[str], None]`` (the pre-telemetry interface, wrapped),
-    or ``None`` for silence.
+    ``log`` is a :class:`~repro.obs.log.StructLogger`, or ``None`` for
+    silence.
 
     A failed simulation is nacked back to pending and counted; the
     worker moves on rather than dying, so one poison spec cannot take
     a fleet down.  A worker never re-claims a digest it already failed
     (the task stays pending for *other* workers, visible in ``failed``
-    tallies and the server's queue counts), and ``exit_when_empty``
+    tallies and the queue's pending count), and ``exit_when_empty``
     treats a queue holding only this worker's failures as drained.
     """
     worker_id = worker_id or default_worker_id()
-    # Provenance picks the id up from the environment so the
-    # execute/save path needs no plumbing through BatchRunner.
-    os.environ["REPRO_WORKER_ID"] = worker_id
     summary = WorkerSummary(worker_id=worker_id)
     logger = to_logger(log, component="worker").bind(worker_id=worker_id)
     metrics = _WorkerMetrics(queue.metrics, worker_id)
@@ -248,13 +245,8 @@ def worker_loop(
 
 
 def _drained(queue: WorkQueue, poisoned: set) -> bool:
-    """Nothing left this worker could make progress on.
-
-    Other worker processes mutate the queue directory, so this always
-    rescans (``verify=True``) instead of trusting this instance's
-    tracked depths — exiting early on a stale zero would strand tasks.
-    """
-    counts = queue.counts(verify=True)
+    """Nothing left this worker could make progress on."""
+    counts = queue.counts()
     if counts["leased"]:
         return False                   # someone may still nack/expire
     if counts["pending"] == 0:
@@ -326,6 +318,7 @@ def _execute(
                 wall_s=round(result.wall_s, 6), cycles=stats.cycles,
             )
         provenance = run_provenance(result.wall_s)
+        provenance["worker_id"] = summary.worker_id
         provenance["batch_id"] = task.digest
         provenance["batch_occupancy"] = len(fresh)
         if task.trace_id:

@@ -620,8 +620,8 @@ class Executor:
         no tally churn), requeueing expired leases as it goes so a
         crashed worker's tasks are retried within one lease window.
         Each drain mints a sweep trace id (threaded through every
-        payload; see :mod:`repro.obs.sweeptrace`), so even queue-only
-        sweeps with no server are reconstructable afterwards.
+        payload; see :mod:`repro.obs.sweeptrace`), so ``repro
+        sweep-trace`` can reconstruct the drain afterwards.
         """
         from repro.obs.sweeptrace import new_trace_id
 

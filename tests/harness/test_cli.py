@@ -281,83 +281,66 @@ class TestContendSubcommand:
         assert "# Contention report" in capsys.readouterr().out
 
 
-def status_doc(match):
-    return {
-        "metrics": {},
-        "requests": 3,
-        "workers": [],
-        "queue": {"root": "/q", "pending": 1, "leased": 0,
-                  "lease_s": 60.0},
-        "queue_verify": {
-            "match": match,
-            "scan": {"pending": 2, "leased": 0},
-            "tracked": {"pending": 1, "leased": 0},
-        },
-    }
-
-
 class TestStatusSubcommand:
-    def test_unreachable_server_returns_2(self, capsys):
-        assert main(["status", "http://127.0.0.1:1"]) == 2
-        assert capsys.readouterr().err
-
     @pytest.fixture
-    def served(self, monkeypatch):
-        """Stub the HTTP round trip with a canned metrics document."""
-        from repro.service import client as client_mod
+    def queue_dir(self, tmp_path):
+        """A live-looking drain: one pending task, two heartbeats."""
+        from repro.obs.sweeptrace import write_heartbeat
+        from repro.service.queue import WorkQueue
+        from repro.sim.executor import RunSpec
 
-        def install(doc):
-            monkeypatch.setattr(
-                client_mod.SweepClient, "_request_json",
-                lambda self, method, path: (200, doc),
-            )
+        root = tmp_path / "queue"
+        WorkQueue(root).submit(RunSpec("tms", "tiny", "1x1", 4, "glsc"))
+        write_heartbeat(root, "w0", {
+            "claims": 2, "executed": 2, "skipped": 1, "failed": 0,
+            "sim_wall_s": 0.5, "contention_failed_lanes": 30,
+            "contention_sc_failures": 4,
+        })
+        write_heartbeat(root, "w1", {
+            "claims": 1, "executed": 1, "skipped": 0, "failed": 0,
+            "sim_wall_s": 0.25, "contention_failed_lanes": 12,
+            "contention_sc_failures": 0,
+        })
+        return root
 
-        return install
+    def test_missing_queue_directory_returns_2(self, tmp_path, capsys):
+        assert main(["status", f"queue://{tmp_path}/nowhere"]) == 2
+        assert "no queue directory" in capsys.readouterr().err
 
-    def test_verify_mismatch_exits_nonzero(self, served, capsys):
-        served(status_doc(match=False))
-        assert main(["status", "--verify"]) == 1
-        assert "MISMATCH" in capsys.readouterr().out
-
-    def test_verify_mismatch_exits_nonzero_in_json_mode(
-        self, served, capsys
-    ):
-        served(status_doc(match=False))
-        assert main(["status", "--verify", "--json"]) == 1
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["queue_verify"]["match"] is False
-
-    def test_verify_match_exits_zero(self, served, capsys):
-        served(status_doc(match=True))
-        assert main(["status", "--verify"]) == 0
-        assert "match" in capsys.readouterr().out
-
-    def test_without_verify_flag_mismatch_does_not_gate(
-        self, served, capsys
-    ):
-        # The server only includes queue_verify when asked, but even a
-        # document carrying a mismatch must not flip the exit code
-        # unless the caller requested verification.
-        served(status_doc(match=False))
-        assert main(["status"]) == 0
-        capsys.readouterr()
+    def test_text_summary_reads_the_directory(self, queue_dir, capsys):
+        assert main(["status", f"queue://{queue_dir}"]) == 0
+        out = capsys.readouterr().out
+        assert f"queue {queue_dir}: 1 pending, 0 leased" in out
+        assert "workers (2 heartbeat(s)):" in out
+        assert "w0: 2 claims, 2 executed, 1 skipped, 0 failed" in out
+        assert "w1: 1 claims, 1 executed, 0 skipped, 0 failed" in out
 
     def test_contention_rollup_printed_across_workers(
-        self, served, capsys
+        self, queue_dir, capsys
     ):
-        doc = status_doc(match=True)
-        doc["workers"] = [
-            {"worker_id": "w0", "claims": 2, "executed": 2,
-             "age_s": 1.0, "contention_failed_lanes": 30,
-             "contention_sc_failures": 4},
-            {"worker_id": "w1", "claims": 1, "executed": 1,
-             "age_s": 2.0, "contention_failed_lanes": 12,
-             "contention_sc_failures": 0},
-        ]
-        served(doc)
-        assert main(["status"]) == 0
+        assert main(["status", f"queue://{queue_dir}"]) == 0
         out = capsys.readouterr().out
         assert "contention: 42 failed GLSC lanes, 4 sc failures" in out
+
+    def test_json_document_reads_the_directory(self, queue_dir, capsys):
+        assert main(["status", f"queue://{queue_dir}", "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["root"] == str(queue_dir)
+        assert (doc["pending"], doc["leased"]) == (1, 0)
+        beats = {beat["worker_id"]: beat for beat in doc["workers"]}
+        assert set(beats) == {"w0", "w1"}
+        assert beats["w0"]["claims"] == 2
+        assert beats["w1"]["executed"] == 1
+        assert beats["w0"]["age_s"] >= 0.0
+
+    def test_queue_without_workers_says_so(self, tmp_path, capsys):
+        from repro.service.queue import WorkQueue
+        from repro.sim.executor import RunSpec
+
+        root = tmp_path / "queue"
+        WorkQueue(root).submit(RunSpec("tms", "tiny", "1x1", 4, "glsc"))
+        assert main(["status", f"queue://{root}"]) == 0
+        assert "no heartbeats yet" in capsys.readouterr().out
 
 
 class TestTelemetryFlag:

@@ -83,15 +83,6 @@ class TestToLogger:
     def test_none_becomes_the_null_logger(self):
         assert to_logger(None) is NULL_LOGGER
 
-    def test_plain_callable_receives_text_lines(self):
-        lines = []
-        logger = to_logger(lines.append, component="worker")
-        logger.info("done-task", digest="abc")
-        assert len(lines) == 1
-        assert "done-task" in lines[0]
-        assert "digest=abc" in lines[0]
-        assert logger.fmt == "text"
-
     def test_structlogger_passes_through(self):
         original = StructLogger(stream=io.StringIO(), component="cli")
         assert to_logger(original, component="worker") is original

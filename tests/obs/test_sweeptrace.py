@@ -69,10 +69,7 @@ class TestSpanLog:
         assert collect_spans(tmp_path) == []
 
     def test_canonical_phase_order_is_declared(self):
-        assert PHASES == (
-            "submitted", "enqueued", "claimed",
-            "simulated", "saved", "streamed",
-        )
+        assert PHASES == ("enqueued", "claimed", "simulated", "saved")
 
 
 class TestHeartbeats:

@@ -44,7 +44,7 @@ class TestSubmitMany:
         queued = queue.submit_many(SPECS, batch_size=2)
         assert queued == len(SPECS)
         # 5 specs at batch_size=2 -> two batch files + one singleton.
-        assert queue.counts(verify=True)["pending"] == 3
+        assert queue.counts()["pending"] == 3
 
     def test_batch_size_histogram(self, tmp_path):
         metrics = MetricsRegistry()
@@ -147,7 +147,7 @@ class TestWorkerBatchDrain:
         assert summary.executed == 0
         # The whole file went back to pending (this worker excludes its
         # own poisoned digests, so it drains as "empty" around it).
-        assert queue.counts(verify=True)["pending"] == 1
+        assert queue.counts()["pending"] == 1
 
     def test_executor_queue_backend_uses_batch_files(self, tmp_path):
         """End-to-end: executor submits batches, a worker drains them."""

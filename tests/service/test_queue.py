@@ -182,34 +182,15 @@ class TestQueueMetrics:
         assert ops.value(op="acked") == 1
         assert ops.value(op="nacked") == 1
 
-    def test_depth_gauges_track_every_transition(self, tmp_path):
-        queue, registry, _ = telemetry_queue(tmp_path)
-        label = str(queue.root)
-        pending = registry.get("queue_pending_depth")
-        leased = registry.get("queue_leased_depth")
-        queue.counts()                              # prime the tracker
-        queue.submit(SPEC)
-        assert (pending.value(queue=label), leased.value(queue=label)) \
-            == (1, 0)
-        task = queue.claim("w1")
-        assert (pending.value(queue=label), leased.value(queue=label)) \
-            == (0, 1)
-        queue.ack(task)
-        assert (pending.value(queue=label), leased.value(queue=label)) \
-            == (0, 0)
-
     def test_requeue_on_timeout_counts_and_logs(self, tmp_path):
         queue, registry, stream = telemetry_queue(tmp_path, lease_s=0.01)
-        queue.counts()                              # prime the tracker
         queue.submit(SPEC)
         task = queue.claim("crashed-worker")
         lease = json.loads(task.lease_path.read_text())["lease"]
         queue.requeue_expired(now=lease["deadline"] + 1.0)
 
         assert registry.get("queue_tasks_total").value(op="requeued") == 1
-        assert registry.get("queue_pending_depth").value(
-            queue=str(queue.root)
-        ) == 1
+        assert queue.counts() == {"pending": 1, "leased": 0}
         events = [r for r in log_records(stream)
                   if r["event"] == "requeue-expired"]
         assert len(events) == 1
@@ -237,36 +218,27 @@ class TestQueueMetrics:
         task.lease_path.unlink()                    # someone raced us
         queue.ack(task)                             # stale ack, no effect
         assert registry.get("queue_tasks_total").value(op="acked") == 0
-        assert queue.verify_counts()["match"] is True
+        assert queue.counts() == {"pending": 0, "leased": 0}
 
 
-class TestTrackedCounts:
-    def test_counts_avoid_rescans_within_the_ttl(self, tmp_path):
-        queue, _, _ = telemetry_queue(tmp_path, counts_ttl_s=3600.0)
+class TestCounts:
+    def test_counts_see_other_processes_files(self, tmp_path):
+        queue = WorkQueue(tmp_path / "q")
         queue.submit(SPEC)
-        queue.counts()                              # prime the tracker
-        # Tamper behind the queue's back: tracked counts cannot see it
-        # until the TTL expires or someone asks for verification.
+        assert queue.counts()["pending"] == 1
+        # Another process publishes into the same directory: the next
+        # scan sees it, with nothing cached to go stale.
         (queue.pending_dir / f"{OTHER.digest()}.json").write_text(
             json.dumps({"spec": OTHER.to_dict()})
         )
-        assert queue.counts()["pending"] == 1       # stale by design
-        assert queue.counts(verify=True)["pending"] == 2
-
-    def test_verify_counts_reports_and_heals_drift(self, tmp_path):
-        queue, _, _ = telemetry_queue(tmp_path, counts_ttl_s=3600.0)
-        queue.submit(SPEC)
-        queue.counts()
-        (queue.pending_dir / f"{OTHER.digest()}.json").write_text(
-            json.dumps({"spec": OTHER.to_dict()})
-        )
-        report = queue.verify_counts()
-        assert report["match"] is False
-        assert report["tracked"]["pending"] == 1
-        assert report["scan"]["pending"] == 2
-        # Drift resyncs to the scan; a second check passes.
         assert queue.counts()["pending"] == 2
-        assert queue.verify_counts()["match"] is True
+
+    def test_temp_files_are_not_tasks(self, tmp_path):
+        queue = WorkQueue(tmp_path / "q")
+        queue.submit(SPEC)
+        (queue.pending_dir / ".half-written.tmp").write_text("{")
+        assert queue.counts() == {"pending": 1, "leased": 0}
+        assert queue.pending_digests() == [SPEC.digest()]
 
 
 class TestQueueTracing:

@@ -12,9 +12,13 @@ import io
 import json
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
+import pytest
+
 from repro.bench.suite import BenchSuite
+from repro.errors import SimulationError
 from repro.obs.log import StructLogger
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.sweeptrace import collect_spans, read_heartbeats
@@ -25,6 +29,7 @@ from repro.sim.store import ResultStore
 
 REPO_SRC = str(Path(__file__).resolve().parents[2] / "src")
 SPEC = RunSpec("tms", "tiny", "1x1", 4, "glsc")
+OTHER = RunSpec("hip", "tiny", "1x1", 4, "glsc")
 
 
 def canonical_records(store: ResultStore):
@@ -87,8 +92,6 @@ def test_two_worker_processes_drain_smoke_sweep_byte_identical(tmp_path):
 
 def test_executor_queue_backend_delegates_to_workers(tmp_path):
     """``Executor(backend="queue://...")`` runs nothing itself."""
-    import threading
-
     store = ResultStore(tmp_path / "store")
     queue_dir = tmp_path / "queue"
     executor = Executor(
@@ -112,6 +115,58 @@ def test_executor_queue_backend_delegates_to_workers(tmp_path):
     assert executor.counters.simulated == 0
     assert [t.source for t in executor.telemetry] == ["queue"]
     worker.join(timeout=60)
+
+
+class TestQueueBackend:
+    """The executor side of a queue drain: submit, wait, trace."""
+
+    def executor(self, tmp_path, **kwargs):
+        return Executor(
+            store=ResultStore(tmp_path / "store"),
+            backend=f"queue://{tmp_path / 'queue'}",
+            queue_poll_s=0.05,
+            **kwargs,
+        )
+
+    def test_times_out_naming_the_worker_verb(self, tmp_path):
+        executor = self.executor(tmp_path, queue_timeout_s=0.2)
+        with pytest.raises(SimulationError, match="repro worker"):
+            executor.run_sweep([SPEC])
+
+    def test_enqueues_only_specs_the_store_lacks(self, tmp_path):
+        executor = self.executor(tmp_path, queue_timeout_s=0.2)
+        Executor(store=executor.store).run(SPEC)
+        with pytest.raises(SimulationError, match="1/1 specs unserved"):
+            executor.run_sweep([SPEC, OTHER])
+        assert executor.store_hits == 1
+        queue = WorkQueue(tmp_path / "queue")
+        assert queue.pending_digests() == [OTHER.digest()]
+
+    def test_traced_drain_spans_and_provenance(self, tmp_path):
+        executor = self.executor(tmp_path, queue_timeout_s=60)
+        worker = threading.Thread(
+            target=worker_loop,
+            args=(WorkQueue(tmp_path / "queue"), executor.store),
+            kwargs={"worker_id": "w0", "max_tasks": 1,
+                    "idle_exit_s": 60, "poll_s": 0.05},
+            daemon=True,
+        )
+        worker.start()
+        executor.run(SPEC)
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+
+        [entry] = executor.telemetry
+        assert entry.source == "queue"
+        assert entry.trace_id
+        spans = collect_spans(tmp_path / "queue", trace_id=entry.trace_id)
+        assert [s["phase"] for s in spans] == [
+            "enqueued", "claimed", "simulated", "saved",
+        ]
+        assert {s["actor"] for s in spans} == {"queue", "w0"}
+        provenance = executor.store.load_record(SPEC.digest())["provenance"]
+        assert provenance["trace_id"] == entry.trace_id
+        assert provenance["worker_id"] == "w0"
 
 
 class TestWorkerLoop:
@@ -140,6 +195,22 @@ class TestWorkerLoop:
         assert SPEC.digest() in store
         # The failed task was nacked, not lost: it is pending again.
         assert queue.counts()["pending"] == 1
+
+    def test_worker_id_stays_off_later_in_process_runs(self, tmp_path):
+        # A worker names itself on the records it saves, and on no
+        # others: a plain executor in the same process afterwards
+        # stores an empty worker id.
+        store = ResultStore(tmp_path / "s")
+        queue = WorkQueue(tmp_path / "q")
+        queue.submit(SPEC)
+        worker_loop(queue, store, worker_id="w-test", exit_when_empty=True)
+        produced = store.load_record(SPEC.digest())["provenance"]
+        assert produced["worker_id"] == "w-test"
+
+        other = ResultStore(tmp_path / "other")
+        Executor(store=other).run(OTHER)
+        plain = other.load_record(OTHER.digest())["provenance"]
+        assert plain["worker_id"] == ""
 
 
 class TestWorkerTelemetry:
@@ -184,7 +255,7 @@ class TestWorkerTelemetry:
     def test_contention_series_and_heartbeat_rollup(self, tmp_path):
         # A contended multi-thread point produces nonzero conflict
         # counters; the worker folds them into contention_* series and
-        # its heartbeat so the server can aggregate across processes.
+        # its heartbeat so `repro status` can sum them across processes.
         registry = MetricsRegistry()
         store = ResultStore(tmp_path / "s", metrics=registry)
         queue = WorkQueue(tmp_path / "q", metrics=registry)

@@ -12,7 +12,6 @@ STABLE = (
     "ResultStore",
     "MachineConfig",
     "MachineStats",
-    "SweepClient",
 )
 
 
@@ -34,7 +33,6 @@ class TestPublicSurface:
         assert not hasattr(repro, "Session")
 
     def test_top_level_spellings_are_the_canonical_classes(self):
-        from repro.service.client import SweepClient
         from repro.sim.executor import Executor, RunSpec, Sweep
         from repro.sim.store import ResultStore
 
@@ -42,7 +40,6 @@ class TestPublicSurface:
         assert repro.Sweep is Sweep
         assert repro.Executor is Executor
         assert repro.ResultStore is ResultStore
-        assert repro.SweepClient is SweepClient
 
     def test_quickstart_types_roundtrip(self, tmp_path):
         spec = repro.RunSpec("tms", "tiny", "1x1", 4, "glsc")
