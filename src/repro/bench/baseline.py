@@ -162,8 +162,8 @@ def trajectory_entry(doc: Mapping[str, Any]) -> Dict[str, Any]:
         "created": doc["created"],
         "suite": doc["suite"],
         "repeats": doc["repeats"],
-        # Which execution backend produced the walls ("solo" unless
-        # the doc says otherwise) — batch walls are cycle-shares of a
+        # Which execution backend produced the walls: "solo" unless an
+        # older doc says "batch" — batch walls are cycle-shares of a
         # shared loop, so cross-backend wall diffs are expected.
         "backend": doc.get("backend", "solo"),
         "headline": {

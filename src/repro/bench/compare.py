@@ -22,8 +22,7 @@ wall-clock ``sim_khz`` and the deterministic cycles-per-instruction
 proxy — against the previous trajectory entry.  By default it is
 purely informational (``changed``/``improved``, never failing); with
 ``gate_throughput=True`` (CLI ``--gate-throughput``) a drop beyond the
-tolerance becomes a failing ``regressed`` verdict, which is how the
-perf-sensitive CI leg pins the batched backend's speed.
+tolerance becomes a failing ``regressed`` verdict.
 
 The CLI exits non-zero iff :attr:`Comparison.failed`.
 """

@@ -18,15 +18,6 @@ Simulated cycle counts are deterministic, so the runner also asserts
 every repeat of a point returns identical cycles — a free
 bitwise-reproducibility check on every bench run.
 
-With ``backend="batch"`` the timed repeats instead run through the
-executor's unobserved path (:class:`~repro.sim.batch.BatchRunner` —
-one process, shared interned inputs, one merged event heap).  Cycles
-and stats are bitwise identical to solo mode; only the wall times
-change.  Per-point walls are then cycle-proportional shares of each
-batch's wall, so individual points' ``sim_khz`` are synthetic — the
-honest headline is the *aggregate* (total cycles over total wall),
-which is exactly what the trajectory records.
-
 With ``phases=True`` (the default) the runner adds one *untimed*
 observed pass per point after the timed repeats, attributing each
 point's cycles to gather/compute/retry/stall via
@@ -76,22 +67,14 @@ class BenchRunner:
         git_sha: Optional[str] = None,
         progress=None,
         phases: bool = True,
-        backend: str = "solo",
-        batch_size: int = 16,
     ) -> None:
         if repeats < 1:
             raise ValueError(f"repeats must be >= 1, got {repeats}")
-        if backend not in ("solo", "batch"):
-            raise ValueError(
-                f"backend must be 'solo' or 'batch', got {backend!r}"
-            )
         self.suite = suite
         self.repeats = repeats
         self.git_sha = git_sha or current_git_sha()
         self._progress = progress  # callable(str) or None
         self.phases = phases
-        self.backend = backend
-        self.batch_size = batch_size
         #: Stats per point id from the last :meth:`run` (repeat 0).
         self.stats_by_id: Dict[str, MachineStats] = {}
 
@@ -108,24 +91,12 @@ class BenchRunner:
         self.stats_by_id = {}
 
         started = time.perf_counter()
-        batched = self.backend == "batch"
         for repeat in range(self.repeats):
-            if batched:
-                # Unobserved runs need no observer trick: a fresh
-                # executor per repeat has an empty memo and no store,
-                # so every point simulates fresh through BatchRunner.
-                # Per-point walls are the runner's cycle-proportional
-                # shares of each batch wall, so their sum (and hence
-                # the aggregate sim_khz) reflects real elapsed time.
-                executor = Executor(batch_size=self.batch_size)
-                results = executor.run_sweep(specs)
-            else:
-                # A sinkless bus keeps every wants_* flag False (no
-                # event overhead) while still forcing the executor's
-                # observed path: fresh in-process simulation, no
-                # memo/store reads.
-                executor = Executor()
-                results = executor.run_sweep(specs, obs=EventBus())
+            # A sinkless bus keeps every wants_* flag False (no event
+            # overhead) while still forcing the executor's observed
+            # path: fresh in-process simulation, no memo/store reads.
+            executor = Executor()
+            results = executor.run_sweep(specs, obs=EventBus())
             by_label = {
                 t.label: t for t in executor.telemetry
                 if t.source == "simulated"
@@ -237,11 +208,6 @@ class BenchRunner:
             "created": time.time(),
             "suite": self.suite.name,
             "repeats": self.repeats,
-            "backend": self.backend,
-            **(
-                {"batch_size": self.batch_size}
-                if self.backend == "batch" else {}
-            ),
             "deterministic": True,  # enforced above, repeat-vs-repeat
             "provenance": run_provenance(time.perf_counter() - started),
             "points": points,

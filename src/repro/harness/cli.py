@@ -511,16 +511,6 @@ def _main_bench(argv: List[str]) -> int:
         help="skip the per-point gather/compute/retry/stall "
              "attribution pass (halves bench wall time)",
     )
-    p_run.add_argument(
-        "--backend", default="solo", choices=("solo", "batch"),
-        help="how timed repeats simulate: one machine at a time "
-             "(solo, default) or many per process through the "
-             "batched backend (batch)",
-    )
-    p_run.add_argument(
-        "--batch-size", type=int, default=16, metavar="N",
-        help="specs per batch with --backend batch (default: 16)",
-    )
 
     for verb, help_text in (
         ("compare", "gate the newest run; exit 1 on a regression"),
@@ -592,19 +582,14 @@ def _main_bench(argv: List[str]) -> int:
     if args.verb == "run":
         suite = get_suite(args.suite, protocol=args.protocol)
         sha = current_git_sha(args.dir)
-        backend_note = (
-            f", batched x{args.batch_size}"
-            if args.backend == "batch" else ""
-        )
         print(
             f"bench run: suite {suite.name} ({len(suite)} points), "
-            f"{args.repeats} repeat(s), sha {sha}{backend_note}"
+            f"{args.repeats} repeat(s), sha {sha}"
         )
         runner = BenchRunner(
             suite, repeats=args.repeats, git_sha=sha,
             progress=lambda msg: print(f"  {msg}"),
             phases=not args.no_phases,
-            backend=args.backend, batch_size=args.batch_size,
         )
         if args.profile:
             import cProfile
@@ -728,8 +713,8 @@ def _main_cache(argv: List[str]) -> int:
         prog="glsc-harness cache",
         description=(
             "Inspect/maintain the persistent result store: list "
-            "entries, aggregate stats (incl. hit/miss totals), and "
-            "prune entries stranded by config-schema changes."
+            "entries, aggregate stats, and prune entries stranded "
+            "by config-schema changes."
         ),
     )
     sub = parser.add_subparsers(dest="verb", required=True)
@@ -783,10 +768,6 @@ def _main_cache(argv: List[str]) -> int:
             f"  {info['entries']} entries, "
             f"{info['size_bytes'] / 1024:.1f} KiB, "
             f"{info['stale']} stale"
-        )
-        print(
-            f"  served {info['hits']} hits / {info['misses']} misses "
-            "(persistent tally)"
         )
         print(
             f"  {info['simulated_wall_s']:.2f}s of simulation represented "

@@ -53,7 +53,6 @@ from repro.obs.events import (
     LineCombine,
     ReservationLost,
     ReservationSet,
-    TaskPhase,
     Writeback,
     event_to_dict,
 )
@@ -103,7 +102,6 @@ __all__ = [
     "SpanLog",
     "StructLogger",
     "SweepTraceExporter",
-    "TaskPhase",
     "Writeback",
     "collect_spans",
     "event_to_dict",

@@ -92,7 +92,6 @@ class EventBus:
         self.wants_reservation = False
         self.wants_glsc = False
         self.wants_protocol = False
-        self.wants_service = False
 
     # -- subscription ----------------------------------------------------
 
@@ -122,7 +121,6 @@ class EventBus:
         self.wants_reservation = bool(self._subscribers["reservation"])
         self.wants_glsc = bool(self._subscribers["glsc"])
         self.wants_protocol = bool(self._subscribers["protocol"])
-        self.wants_service = bool(self._subscribers["service"])
 
     def wants(self, category: str) -> bool:
         """Whether any sink subscribes to ``category``."""

@@ -23,11 +23,6 @@ the :class:`~repro.obs.bus.EventBus`:
                silent-upgrade marker) — the seam vocabulary of
                :mod:`repro.mem.messages`, emitted by the configured
                :class:`~repro.mem.protocol.CoherenceProtocol`
-``service``    sweep-service lifecycle transitions
-               (:class:`TaskPhase`: enqueued/claimed/simulated/saved,
-               plus the unhappy-path requeued/nacked/poisoned) —
-               wall-clock events from the queue/worker stack, not
-               simulation-cycle events
 =============  ========================================================
 
 Design constraints:
@@ -62,14 +57,12 @@ __all__ = [
     "ReservationLost",
     "ElementOutcome",
     "LineCombine",
-    "TaskPhase",
     "event_to_dict",
 ]
 
 #: Subscription categories, in display order.
 CATEGORIES = (
     "instr", "cache", "coherence", "reservation", "glsc", "protocol",
-    "service",
 )
 
 
@@ -216,26 +209,6 @@ class LineCombine(NamedTuple):
     sync: bool        # whether the access counts as an atomic op
 
 
-@record
-class TaskPhase(NamedTuple):
-    """One sweep-service lifecycle transition for one spec digest.
-
-    Unlike the simulation events above, ``ts`` is a wall-clock unix
-    timestamp — service events happen in real time across processes,
-    not on a simulated cycle counter.  Emission sites follow the same
-    ``obs is not None and obs.wants_service`` guard, so an unobserved
-    queue/worker allocates no event objects (guard-tested).
-    """
-
-    category = "service"
-
-    ts: float
-    digest: str
-    phase: str     # a sweeptrace.PHASES member or requeued/nacked/poisoned
-    actor: str     # worker id / "queue"
-    trace_id: str  # "" when the task was submitted untraced
-
-
 def _trace_event_type():
     from repro.sim.trace import TraceEvent
 
@@ -264,7 +237,6 @@ EVENT_TYPES = (
     ReservationLost,
     ElementOutcome,
     LineCombine,
-    TaskPhase,
 ) + PROTOCOL_MESSAGES
 
 

@@ -1,10 +1,10 @@
 """Process-local metrics registry: counters, gauges, histograms.
 
 Where :mod:`repro.obs.events` streams *simulation* micro-events, this
-module counts *service* macro-events: tasks submitted and claimed,
-store puts and hits, per-task simulation seconds.  One
-:class:`MetricsRegistry` per process aggregates everything the queue,
-store and worker loop in that process do; callers read a series back
+module counts *service* macro-events: queue transitions, specs per
+queue file, and store puts and their bytes.  One
+:class:`MetricsRegistry` per process aggregates everything the queue
+and store in that process do; callers read a series back
 with :meth:`MetricsRegistry.get`.  Workers in other processes publish
 their tallies as heartbeat files instead (see
 :mod:`repro.obs.sweeptrace`).

@@ -96,13 +96,7 @@ class PerfettoSink(Sink):
     # -- event handling ----------------------------------------------------
 
     def on_event(self, event: Any) -> None:
-        cycle = getattr(event, "cycle", None)
-        if cycle is None:
-            # Service-plane events (category "service") carry wall-clock
-            # timestamps, not simulation cycles; they belong to
-            # SweepTraceExporter, so a catch-all subscription skips them.
-            return
-        self._last_ts = max(self._last_ts, cycle)
+        self._last_ts = max(self._last_ts, event.cycle)
         name = type(event).__name__
         if name == "TraceEvent":
             self._events.append({
@@ -250,7 +244,7 @@ class PerfettoSink(Sink):
         return len(self._events)
 
 
-class SweepTraceExporter(Sink):
+class SweepTraceExporter:
     """Multi-process Chrome trace of one distributed sweep drain.
 
     Where :class:`PerfettoSink` lays out one simulation (cores as
@@ -267,14 +261,10 @@ class SweepTraceExporter(Sink):
       slice, so a two-worker drain shows both workers' interleaved
       work as parallel process tracks.
 
-    Feed it either live :class:`~repro.obs.events.TaskPhase` events
-    (it is a ``service``-category :class:`~repro.obs.bus.Sink`) or
-    span records collected from the queue's sidecar files with
-    :func:`~repro.obs.sweeptrace.collect_spans` (the cross-process
-    path used by ``repro sweep-trace``).
+    Feed it the span records collected from the queue's sidecar files
+    with :func:`~repro.obs.sweeptrace.collect_spans` (what ``repro
+    sweep-trace`` does).
     """
-
-    categories = ("service",)
 
     #: The phase pairs drawn as duration slices on actor tracks.
     SLICES = (("claimed", "simulated", "simulate"),
@@ -282,14 +272,6 @@ class SweepTraceExporter(Sink):
 
     def __init__(self) -> None:
         self._records: List[Dict[str, Any]] = []
-
-    def on_event(self, event: Any) -> None:
-        if getattr(event, "category", None) != "service":
-            return
-        self.add({
-            "ts": event.ts, "phase": event.phase, "digest": event.digest,
-            "actor": event.actor, "trace_id": event.trace_id,
-        })
 
     def add(self, record: Dict[str, Any]) -> None:
         """Add one span record (``{ts, phase, digest, actor, ...}``)."""

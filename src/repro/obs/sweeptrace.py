@@ -12,8 +12,8 @@ Phases, in lifecycle order::
 
     enqueued -> claimed -> simulated -> saved
 
-(``requeued``/``nacked``/``poisoned`` may interleave on unhappy
-paths.)  The ``trace_id`` is minted per executor drain, rides in every
+(``requeued`` may interleave when a lease expires; nacks and poison
+drops are logged, not spanned.)  The ``trace_id`` is minted per executor drain, rides in every
 queue payload, and lands in the stored record's provenance — so a
 number in the store names the drain that produced it.
 
@@ -68,10 +68,10 @@ class SpanLog:
     """Appends one actor's span records to its sidecar (crash-safe).
 
     One JSON line per record via a single ``os.write`` on an
-    ``O_APPEND`` descriptor — same contract as the store's index
-    journal: concurrent actors each own their file, a crash can at
-    worst tear the final line, and :func:`collect_spans` skips torn
-    lines.  Never raises: tracing must not take a worker down.
+    ``O_APPEND`` descriptor: concurrent actors each own their file, a
+    crash can at worst tear the final line, and :func:`collect_spans`
+    skips torn lines.  Never raises: tracing must not take a worker
+    down.
     """
 
     def __init__(self, queue_root: Path, actor: str) -> None:
@@ -181,14 +181,11 @@ def write_heartbeat(
         pass
 
 
-def read_heartbeats(
-    queue_root: Path, max_age_s: Optional[float] = None
-) -> List[Dict[str, Any]]:
+def read_heartbeats(queue_root: Path) -> List[Dict[str, Any]]:
     """Every worker heartbeat under the queue dir (newest-write wins).
 
-    ``max_age_s`` drops heartbeats older than that — the distinction
-    between "workers this drain ever had" (None) and "workers alive
-    right now".  Each returned dict gains an ``age_s`` field.
+    Each returned dict gains an ``age_s`` field, so a reader can tell
+    workers alive right now from ones that stopped beating.
     """
     workers_dir = Path(queue_root) / WORKERS_DIRNAME
     now = time.time()
@@ -212,8 +209,6 @@ def read_heartbeats(
             # treat it like any other unreadable heartbeat.
             age = now - float(entry.get("ts", 0.0) or 0.0)
         except (TypeError, ValueError):
-            continue
-        if max_age_s is not None and age > max_age_s:
             continue
         entry["age_s"] = age
         out.append(entry)

@@ -51,10 +51,8 @@ counter in the queue's :class:`~repro.obs.metrics.MetricsRegistry`
 (submitted/claimed/acked/nacked/requeued/poisoned), and
 :meth:`WorkQueue.counts` scans the directories for the pending/leased
 depths (other processes move the same files, so there is nothing
-local to cache).  When an :class:`~repro.obs.bus.EventBus`
-is attached (``obs=``), transitions additionally emit
-:class:`~repro.obs.events.TaskPhase` events behind the standard
-``wants_service`` zero-allocation guard.
+local to cache).  A traced sweep's lifecycle is recorded once, in the
+span sidecars under ``spans/``.
 """
 
 from __future__ import annotations
@@ -70,7 +68,6 @@ from typing import (
     Any,
     Collection,
     Dict,
-    Iterable,
     List,
     Optional,
     Sequence,
@@ -138,7 +135,6 @@ class WorkQueue:
         lease_s: float = DEFAULT_LEASE_S,
         metrics: Optional[MetricsRegistry] = None,
         logger: Optional[StructLogger] = None,
-        obs: Optional[Any] = None,
     ) -> None:
         if lease_s <= 0:
             raise ConfigError(f"lease_s must be > 0, got {lease_s}")
@@ -149,7 +145,6 @@ class WorkQueue:
         self._nonce = 0
         self.metrics = metrics if metrics is not None else get_registry()
         self.logger = (logger or NULL_LOGGER).bind(queue=str(self.root))
-        self.obs = obs
         self._tasks_total = self.metrics.counter(
             "queue_tasks_total",
             "Queue state transitions by operation",
@@ -174,18 +169,6 @@ class WorkQueue:
     def _count(self, op: str) -> None:
         """One transition: bump the op counter."""
         self._tasks_total.inc(op=op)
-
-    def _phase(
-        self, phase: str, digest: str, actor: str, trace_id: str
-    ) -> None:
-        obs = self.obs
-        if obs is not None and obs.wants_service:
-            from repro.obs.events import TaskPhase
-
-            obs.emit(TaskPhase(
-                ts=time.time(), digest=digest, phase=phase,
-                actor=actor, trace_id=trace_id,
-            ))
 
     def span_log(self, actor: str = "queue") -> SpanLog:
         """The sweep-trace sidecar writer for ``actor`` in this queue."""
@@ -294,19 +277,10 @@ class WorkQueue:
         self.logger.debug(
             "submit", digest=name[:12], size=len(group), trace_id=trace_id
         )
-        self._phase("enqueued", name, "queue", trace_id)
         if trace_id:
             for digest, _ in group:
                 self.span_log().record("enqueued", digest, trace_id)
         return True
-
-    def submit_sweep(
-        self, specs: Iterable[RunSpec], trace_id: str = ""
-    ) -> int:
-        """Enqueue every spec; returns how many were newly queued."""
-        return sum(
-            1 for spec in specs if self.submit(spec, trace_id=trace_id)
-        )
 
     def _in_flight(self, digest: str) -> bool:
         if (self.pending_dir / f"{digest}.json").exists():
@@ -354,16 +328,12 @@ class WorkQueue:
                 self.logger.warning(
                     "poison-drop", digest=digest[:12], worker_id=worker_id
                 )
-                self._phase("poisoned", digest, worker_id or "queue", "")
                 continue
             self._stamp_lease(task, worker_id)
             self._count("claimed")
             self.logger.debug(
                 "claim", digest=digest[:12], worker_id=worker_id,
                 trace_id=task.trace_id,
-            )
-            self._phase(
-                "claimed", digest, worker_id or "queue", task.trace_id
             )
             return task
         return None
@@ -444,7 +414,6 @@ class WorkQueue:
         self.logger.info(
             "nack", digest=task.digest[:12], trace_id=task.trace_id
         )
-        self._phase("nacked", task.digest, "queue", task.trace_id)
 
     # -- lease expiry ----------------------------------------------------
 
@@ -487,7 +456,6 @@ class WorkQueue:
             self.logger.info(
                 "requeue-expired", digest=digest[:12], trace_id=trace_id
             )
-            self._phase("requeued", digest, "queue", trace_id)
             if trace_id:
                 self.span_log().record("requeued", digest, trace_id)
         return requeued

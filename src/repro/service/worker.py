@@ -12,20 +12,18 @@ coordination beyond the queue directory and the store; determinism
 guarantees their records are byte-identical (sans provenance) to a
 serial run's, which the service tests and CI assert.
 
-Telemetry: the loop counts claims, store-skips, and task outcomes in
-the queue's metrics registry (``worker_claims_total`` etc., labelled
-by worker id), observes per-task simulation wall time into a
-``worker_sim_seconds`` histogram, and — because workers are separate
-*processes* whose registries nobody else can see — periodically
-snapshots its tallies into ``<queue>/workers/<worker_id>.json``
-heartbeat files (:func:`~repro.obs.sweeptrace.write_heartbeat`) that
-``repro status queue://<dir>`` reads.  Every record a worker saves
-names it in ``provenance["worker_id"]``.  When a claimed
-task carries a sweep ``trace_id``, the worker appends
-``claimed``/``simulated``/``saved`` spans to its sidecar in the queue
-directory and stamps the trace id into the stored record's
-provenance, so ``repro sweep-trace`` can rebuild the whole
-distributed drain afterwards.
+Telemetry: the loop keeps one tally, :class:`WorkerSummary` (claims,
+outcomes, simulation seconds, contention roll-up), and — because
+workers are separate *processes* nobody else can see into — it
+periodically snapshots that tally into
+``<queue>/workers/<worker_id>.json`` heartbeat files
+(:func:`~repro.obs.sweeptrace.write_heartbeat`) that ``repro status
+queue://<dir>`` reads.  Every record a worker saves names it in
+``provenance["worker_id"]``.  When a claimed task carries a sweep
+``trace_id``, the worker appends ``claimed``/``simulated``/``saved``
+spans to its sidecar in the queue directory and stamps the trace id
+into the stored record's provenance, so ``repro sweep-trace`` can
+rebuild the whole distributed drain afterwards.
 """
 
 from __future__ import annotations
@@ -36,7 +34,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from repro.obs.log import StructLogger, to_logger
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.sweeptrace import write_heartbeat
 from repro.obs.telemetry import run_provenance
 from repro.service.queue import Task, WorkQueue
@@ -86,69 +83,6 @@ class WorkerSummary:
         }
 
 
-class _WorkerMetrics:
-    """The worker-side series, bound to one worker id."""
-
-    def __init__(self, registry: MetricsRegistry, worker_id: str) -> None:
-        self.worker_id = worker_id
-        self.claims = registry.counter(
-            "worker_claims_total", "Tasks this worker claimed",
-            labelnames=("worker_id",),
-        )
-        self.tasks = registry.counter(
-            "worker_tasks_total", "Claimed-task outcomes",
-            labelnames=("worker_id", "outcome"),
-        )
-        self.sim_seconds = registry.histogram(
-            "worker_sim_seconds",
-            "Wall seconds per fresh simulation",
-            labelnames=("worker_id",),
-        )
-        # Contention roll-up: workers run unobserved (no event bus),
-        # so these series derive from each task's end-of-run counters
-        # rather than the contention sink — coarser, but free.
-        self.contention_lanes = registry.counter(
-            "contention_failed_lanes_total",
-            "Failed GLSC element lanes across simulated tasks, by cause",
-            labelnames=("worker_id", "cause"),
-        )
-        self.contention_sc = registry.counter(
-            "contention_sc_failures_total",
-            "Failed scalar store-conditionals across simulated tasks",
-            labelnames=("worker_id",),
-        )
-        self.contention_rate = registry.histogram(
-            "contention_failure_rate",
-            "Per-task GLSC element failure rate",
-            labelnames=("worker_id",),
-            buckets=(0.001, 0.005, 0.01, 0.05, 0.1, 0.25, 0.5, 1.0),
-        )
-
-    def claim(self) -> None:
-        self.claims.inc(worker_id=self.worker_id)
-
-    def outcome(self, outcome: str) -> None:
-        self.tasks.inc(worker_id=self.worker_id, outcome=outcome)
-
-    def simulated(self, wall_s: float) -> None:
-        self.sim_seconds.observe(wall_s, worker_id=self.worker_id)
-
-    def contention(self, stats) -> None:
-        """Fold one task's conflict counters into the series."""
-        for cause, lanes in stats.glsc_element_failures.items():
-            if lanes:
-                self.contention_lanes.inc(
-                    lanes, worker_id=self.worker_id, cause=cause
-                )
-        if stats.sc_failures:
-            self.contention_sc.inc(
-                stats.sc_failures, worker_id=self.worker_id
-            )
-        self.contention_rate.observe(
-            stats.glsc_failure_rate, worker_id=self.worker_id
-        )
-
-
 def worker_loop(
     queue: WorkQueue,
     store: ResultStore,
@@ -183,7 +117,6 @@ def worker_loop(
     worker_id = worker_id or default_worker_id()
     summary = WorkerSummary(worker_id=worker_id)
     logger = to_logger(log, component="worker").bind(worker_id=worker_id)
-    metrics = _WorkerMetrics(queue.metrics, worker_id)
     spans = queue.span_log(worker_id)
     started = time.perf_counter()
     last_work = time.monotonic()
@@ -221,11 +154,9 @@ def worker_loop(
                 continue
             last_work = time.monotonic()
             summary.claims += 1
-            metrics.claim()
             if task.trace_id:
                 spans.record("claimed", task.digest, task.trace_id)
-            if not _execute(task, queue, store, summary,
-                            metrics, logger, spans):
+            if not _execute(task, queue, store, summary, logger, spans):
                 poisoned.add(task.digest)
             beat()
             if (
@@ -259,7 +190,6 @@ def _execute(
     queue: WorkQueue,
     store: ResultStore,
     summary: WorkerSummary,
-    metrics: _WorkerMetrics,
     logger: StructLogger,
     spans,
 ) -> bool:
@@ -281,10 +211,7 @@ def _execute(
         if store.load_record(digest) is None
     ]
     skipped = len(task.members) - len(fresh)
-    if skipped:
-        summary.skipped += skipped
-        for _ in range(skipped):
-            metrics.outcome("skipped")
+    summary.skipped += skipped
     if not fresh:
         queue.ack(task)
         logger.debug(
@@ -298,7 +225,6 @@ def _execute(
     except Exception as exc:  # noqa: BLE001 — a worker must survive
         queue.nack(task)
         summary.failed += 1
-        metrics.outcome("failed")
         logger.warning(
             "fail", digest=task.digest[:12],
             size=len(fresh), error=repr(exc), trace_id=task.trace_id,
@@ -308,8 +234,6 @@ def _execute(
     summary.sim_wall_s += wall_s
     for (digest, spec), result in zip(fresh, results):
         stats = result.stats
-        metrics.simulated(result.wall_s)
-        metrics.contention(stats)
         summary.contention_failed_lanes += stats.glsc_failures_total
         summary.contention_sc_failures += stats.sc_failures
         if task.trace_id:
@@ -333,7 +257,6 @@ def _execute(
         if task.trace_id:
             spans.record("saved", digest, task.trace_id)
         summary.executed += 1
-        metrics.outcome("executed")
         summary.digests.append(digest)
     queue.ack(task)
     logger.info(

@@ -616,9 +616,9 @@ class Executor:
         claiming worker drains each file through one in-process
         :class:`~repro.sim.batch.BatchRunner`.
         The rendezvous is the shared store: workers save records keyed
-        by digest, this loop polls for them (cheap existence checks,
-        no tally churn), requeueing expired leases as it goes so a
-        crashed worker's tasks are retried within one lease window.
+        by digest, this loop polls for them (cheap record reads),
+        requeueing expired leases as it goes so a crashed worker's
+        tasks are retried within one lease window.
         Each drain mints a sweep trace id (threaded through every
         payload; see :mod:`repro.obs.sweeptrace`), so ``repro
         sweep-trace`` can reconstruct the drain afterwards.

@@ -218,9 +218,6 @@ class Machine:
         only at chunk boundaries.
         """
         cores = self.cores
-        # A single core is ticked every iteration (its next READY cycle
-        # *is* the clock), which skips the wakeup scan.
-        single = cores[0] if len(cores) == 1 else None
         max_cycles = self.config.max_cycles
         live = self._b_live
         done_events = self._b_done_events
@@ -228,21 +225,18 @@ class Machine:
         barrier_waiters = self._b_barrier_waiters
         it = self._b_it
         while True:
-            if single is not None:
-                wake = single.tick(cycle, it)
-            else:
-                # Tick every core with a thread runnable at `cycle`, in
-                # core-id order (shared L2-bank/directory state makes
-                # the order observable).  A tick moves only its own
-                # core's wakeup, so one pass sees every due core and
-                # leaves the minimum wakeup in `wake`.
-                wake = None
-                for core in cores:
-                    ready = core._next_ready
-                    if ready is not None and ready <= cycle:
-                        ready = core._next_ready = core.tick(cycle, it)
-                    if ready is not None and (wake is None or ready < wake):
-                        wake = ready
+            # Tick every core with a thread runnable at `cycle`, in
+            # core-id order (shared L2-bank/directory state makes the
+            # order observable).  A tick moves only its own core's
+            # wakeup, so one pass sees every due core and leaves the
+            # minimum wakeup in `wake`.
+            wake = None
+            for core in cores:
+                ready = core._next_ready
+                if ready is not None and ready <= cycle:
+                    ready = core._next_ready = core.tick(cycle, it)
+                if ready is not None and (wake is None or ready < wake):
+                    wake = ready
             # -- thread lifecycle events from this round of ticks
             if done_events:
                 live -= len(done_events)

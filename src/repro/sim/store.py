@@ -7,14 +7,11 @@ result therefore survives process exits but is invalidated the moment
 any machine parameter, override, or store schema version changes —
 there is no way to read a stale number.
 
-Layout (one JSON file per run, atomically written)::
+Layout (one JSON file per run, atomically written; nothing else)::
 
     <cache_dir>/
       <digest>.json     {"version", "digest", "spec", "config",
                          "stats", "provenance", "created"}
-      index.jsonl       append-only put journal (digest, kernel,
-                        cycles, created) — cheap listing, rebuildable
-      store.meta        best-effort hit/miss tally sidecar
 
 Records are forward-compatible: loaders ignore keys they do not
 recognize, so adding fields (as ``provenance`` was) never invalidates
@@ -28,19 +25,8 @@ whatever the interleaving.  When several writers race on the *same*
 digest the last ``os.replace`` wins; because a digest fixes the spec,
 the resolved config, and the deterministic simulation output, the
 racing records differ only in their ``provenance``/``created`` blocks,
-so which writer wins is unobservable to readers.  The index sidecar is
-an O_APPEND journal of one small JSON line per put: appends from
-concurrent processes land whole on local filesystems, a torn final
-line (a crash mid-append) is skipped by the reader, and
-:meth:`ResultStore.rebuild_index` regenerates the journal from the
-record files — the files stay the ground truth.
-
-The store also keeps a best-effort hit/miss tally in a ``store.meta``
-sidecar (not a ``*.json`` result file, so it can never be mistaken
-for a record): every :meth:`ResultStore.load` bumps the persistent
-totals, which ``repro cache stats`` surfaces together with the
-simulated wall time the cached records represent (read from each
-record's provenance).
+so which writer wins is unobservable to readers.  Reads write nothing,
+so a sweep served entirely from the store leaves it byte-identical.
 
 The default cache directory is ``.glsc-cache/`` in the current working
 directory, overridable with the ``REPRO_CACHE_DIR`` environment
@@ -79,12 +65,6 @@ class ResultStore:
     directory is always safe.
     """
 
-    #: Sidecar file holding the persistent hit/miss tally.
-    TALLY_NAME = "store.meta"
-
-    #: Append-only journal of puts (one JSON line each).
-    INDEX_NAME = "index.jsonl"
-
     def __init__(
         self,
         root: Optional[Path] = None,
@@ -99,14 +79,6 @@ class ResultStore:
             "store_put_bytes_total",
             "Serialized record bytes written by puts",
         )
-        self._journal_appends = self.metrics.counter(
-            "store_journal_appends_total",
-            "Lines appended to the index journal",
-        )
-        self._index_rebuilds = self.metrics.counter(
-            "store_index_rebuilds_total",
-            "Full index regenerations from record files",
-        )
 
     # -- paths ----------------------------------------------------------
 
@@ -119,7 +91,6 @@ class ResultStore:
     def load(self, digest: str) -> Optional[MachineStats]:
         """The stored stats for ``digest``, or ``None`` on a miss."""
         record = self.load_record(digest)
-        self._bump_tally(hit=record is not None)
         if record is None:
             return None
         return MachineStats.from_dict(record["stats"])
@@ -170,8 +141,7 @@ class ResultStore:
         other hosts sharing the directory) racing on the same digest
         end with one complete file, never a torn one; the last writer
         wins, and racing records are value-equal apart from provenance
-        (see the module docstring for the full contract).  Every put
-        also appends a line to the index journal, best-effort.
+        (see the module docstring for the full contract).
 
         ``provenance`` records how the number was produced (repro
         version, python/platform, wall time, worker pid — see
@@ -180,19 +150,15 @@ class ResultStore:
         records written before this field existed stay loadable.
         """
         self.root.mkdir(parents=True, exist_ok=True)
-        # Serialize exactly once: the stats dict feeds the record, the
-        # record serializes to one payload whose bytes are both what
-        # hits the disk and what the put-bytes counter measures, and
-        # the journal line reuses the already-built dict.  Batched
-        # sweeps put dozens of records back to back, so the redundant
-        # re-walks this replaces were measurable.
-        stats_dict = stats.to_dict()
+        # Serialize exactly once: the record serializes to one payload
+        # whose bytes are both what hits the disk and what the
+        # put-bytes counter measures.
         record = {
             "version": STORE_VERSION,
             "digest": digest,
             "spec": spec or {},
             "config": config or {},
-            "stats": stats_dict,
+            "stats": stats.to_dict(),
             "provenance": provenance or {},
             "created": time.time(),
         }
@@ -213,107 +179,7 @@ class ResultStore:
             raise
         self._puts.inc()
         self._put_bytes.inc(len(payload.encode("utf-8")))
-        self._append_index(
-            {
-                "digest": digest,
-                "kernel": (spec or {}).get("kernel", "?"),
-                "cycles": stats_dict.get("cycles", stats.cycles),
-                "created": record["created"],
-            }
-        )
         return path
-
-    def clear(self) -> int:
-        """Delete every stored result; returns how many were removed."""
-        removed = 0
-        for digest in list(self.digests()):
-            try:
-                self.path_for(digest).unlink()
-                removed += 1
-            except OSError:
-                pass
-        try:
-            (self.root / self.INDEX_NAME).unlink()
-        except OSError:
-            pass
-        return removed
-
-    # -- index sidecar ---------------------------------------------------
-
-    def _append_index(self, entry: Dict[str, Any]) -> None:
-        """Append one put to the journal (crash-safe, never raises).
-
-        A single ``os.write`` on an ``O_APPEND`` descriptor, so
-        concurrent writers interleave whole lines on local
-        filesystems.  A crash can at worst leave a torn *final* line,
-        which :meth:`index` skips.
-        """
-        try:
-            line = json.dumps(entry, sort_keys=True) + "\n"
-            fd = os.open(
-                self.root / self.INDEX_NAME,
-                os.O_WRONLY | os.O_CREAT | os.O_APPEND,
-                0o644,
-            )
-            try:
-                os.write(fd, line.encode("utf-8"))
-            finally:
-                os.close(fd)
-            self._journal_appends.inc()
-        except OSError:
-            pass
-
-    def index(self) -> Dict[str, Dict[str, Any]]:
-        """The put journal as ``{digest: newest entry}``.
-
-        Unparsable lines (torn tail from a crashed writer) are
-        skipped; the journal may mention digests whose record was
-        since pruned, and misses puts from before the journal existed
-        — :meth:`rebuild_index` reconciles it with the record files,
-        which remain the ground truth.
-        """
-        entries: Dict[str, Dict[str, Any]] = {}
-        try:
-            with open(self.root / self.INDEX_NAME, encoding="utf-8") as fh:
-                for line in fh:
-                    try:
-                        entry = json.loads(line)
-                    except ValueError:
-                        continue
-                    if isinstance(entry, dict) and "digest" in entry:
-                        entries[entry["digest"]] = entry
-        except OSError:
-            pass
-        return entries
-
-    def rebuild_index(self) -> int:
-        """Regenerate the journal from the record files; returns count."""
-        self.root.mkdir(parents=True, exist_ok=True)
-        lines = []
-        for digest, record in self.records():
-            lines.append(
-                json.dumps(
-                    {
-                        "digest": digest,
-                        "kernel": (record.get("spec") or {}).get(
-                            "kernel", "?"
-                        ),
-                        "cycles": (record.get("stats") or {}).get(
-                            "cycles", 0
-                        ),
-                        "created": record.get("created", 0),
-                    },
-                    sort_keys=True,
-                )
-            )
-        fd, tmp_name = tempfile.mkstemp(
-            dir=str(self.root), prefix=".index.", suffix=".tmp"
-        )
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write("".join(line + "\n" for line in lines))
-        os.replace(tmp_name, self.root / self.INDEX_NAME)
-        self._index_rebuilds.inc()
-        return len(lines)
 
     # -- inspection / maintenance (``repro cache``) ----------------------
 
@@ -323,35 +189,6 @@ class ResultStore:
             record = self.load_record(digest)
             if record is not None:
                 yield digest, record
-
-    def tally(self) -> Dict[str, int]:
-        """The persistent hit/miss totals (zeroes when never tallied)."""
-        try:
-            with open(self.root / self.TALLY_NAME, encoding="utf-8") as fh:
-                data = json.load(fh)
-        except (OSError, ValueError):
-            return {"hits": 0, "misses": 0}
-        if not isinstance(data, dict):
-            return {"hits": 0, "misses": 0}
-        return {
-            "hits": int(data.get("hits", 0)),
-            "misses": int(data.get("misses", 0)),
-        }
-
-    def _bump_tally(self, hit: bool) -> None:
-        """Best-effort persistent hit/miss accounting (never raises)."""
-        try:
-            totals = self.tally()
-            totals["hits" if hit else "misses"] += 1
-            self.root.mkdir(parents=True, exist_ok=True)
-            fd, tmp_name = tempfile.mkstemp(
-                dir=str(self.root), prefix=".tally.", suffix=".tmp"
-            )
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(totals, fh)
-            os.replace(tmp_name, self.root / self.TALLY_NAME)
-        except OSError:
-            pass
 
     def stale_digests(self) -> List[str]:
         """Digests whose entries can no longer be produced or trusted.
@@ -408,9 +245,8 @@ class ResultStore:
     def describe(self) -> Dict[str, Any]:
         """Aggregate view for ``repro cache stats``.
 
-        Hit/miss totals come from the persistent tally; the simulated
-        wall time the cache represents (i.e. what a cold re-run would
-        cost) is summed from each record's provenance.
+        The simulated wall time the cache represents (i.e. what a cold
+        re-run would cost) is summed from each record's provenance.
         """
         entries = 0
         wall_saved = 0.0
@@ -427,13 +263,10 @@ class ResultStore:
             if isinstance(created, (int, float)):
                 oldest = created if oldest is None else min(oldest, created)
                 newest = created if newest is None else max(newest, created)
-        tally = self.tally()
         return {
             "root": str(self.root),
             "entries": entries,
             "size_bytes": self.size_bytes(),
-            "hits": tally["hits"],
-            "misses": tally["misses"],
             "simulated_wall_s": wall_saved,
             "by_kernel": by_kernel,
             "oldest": oldest,

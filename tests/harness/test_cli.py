@@ -94,15 +94,13 @@ class TestCacheSubcommand:
                      "--kernel", "hip"]) == 0
         assert "0 entries" in capsys.readouterr().out
 
-    def test_stats_reports_hits_and_misses(self, populated, capsys):
-        # A second, fully cached invocation generates store hits.
-        assert main(["fig8", "--kernels", "tms", "--datasets", "tiny",
-                     "--cache-dir", str(populated)]) == 0
+    def test_stats_reports_entries_and_simulated_time(
+        self, populated, capsys
+    ):
         capsys.readouterr()
         assert main(["cache", "stats", "--cache-dir", str(populated)]) == 0
         out = capsys.readouterr().out
         assert "6 entries" in out
-        assert "served 6 hits / 6 misses" in out
         assert "by kernel: tms=6" in out
         assert "of simulation represented" in out
 

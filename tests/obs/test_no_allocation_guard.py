@@ -107,63 +107,6 @@ class TestDisabledPathAllocatesNothing:
                 )
 
 
-class TestServiceCategoryGuard:
-    """The zero-allocation contract extends to queue TaskPhase events."""
-
-    def lifecycle(self, tmp_path, obs):
-        from repro.service.queue import WorkQueue
-        from repro.sim.executor import RunSpec
-
-        queue = WorkQueue(tmp_path / "q", lease_s=0.01, obs=obs)
-        spec = RunSpec("tms", "tiny", "1x1", 4, "glsc")
-        queue.submit(spec, trace_id="t1")
-        task = queue.claim("w1")
-        queue.nack(task)
-        import json
-
-        task = queue.claim("w1")
-        lease = json.loads(task.lease_path.read_text())["lease"]
-        queue.requeue_expired(now=lease["deadline"] + 1.0)
-        return queue
-
-    def test_unobserved_queue_builds_no_phase_events(self, tmp_path):
-        from repro.obs.events import TaskPhase
-
-        with poisoned((TaskPhase,)):
-            queue = self.lifecycle(tmp_path, obs=None)
-        assert queue.counts()["pending"] == 1
-
-    def test_non_service_bus_builds_no_phase_events(self, tmp_path):
-        from repro.obs.events import TaskPhase
-
-        bus = EventBus()
-        bus.attach(MetricsSink(), categories=("instr",))
-        assert not bus.wants_service
-        with poisoned((TaskPhase,)):
-            queue = self.lifecycle(tmp_path, obs=bus)
-        assert queue.counts()["pending"] == 1
-
-    def test_poison_bites_with_a_service_subscriber(self, tmp_path):
-        from repro.obs.events import TaskPhase
-        from repro.obs.perfetto import SweepTraceExporter
-
-        bus = EventBus()
-        bus.attach(SweepTraceExporter())
-        assert bus.wants_service
-        with poisoned((TaskPhase,)):
-            with pytest.raises(_Poisoned):
-                self.lifecycle(tmp_path, obs=bus)
-
-    def test_service_subscriber_sees_the_lifecycle(self, tmp_path):
-        from repro.obs.perfetto import SweepTraceExporter
-
-        bus = EventBus()
-        exporter = bus.attach(SweepTraceExporter())
-        self.lifecycle(tmp_path, obs=bus)
-        bus.close()
-        assert len(exporter) >= 4  # enqueued/claimed/nacked/requeued
-
-
 class TestPoisonCoversEveryRecord:
     """The poison must bite on every event type's real constructor.
 

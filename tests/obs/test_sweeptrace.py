@@ -90,17 +90,6 @@ class TestHeartbeats:
         assert len(beats) == 1
         assert beats[0]["claims"] == 5
 
-    def test_max_age_drops_stale_workers(self, tmp_path):
-        write_heartbeat(tmp_path, "worker-0", {"claims": 1})
-        stale = tmp_path / "workers" / "worker-1.json"
-        stale.write_text(json.dumps(
-            {"worker_id": "worker-1", "ts": 1.0, "claims": 9}
-        ))
-        alive = read_heartbeats(tmp_path, max_age_s=60.0)
-        assert [b["worker_id"] for b in alive] == ["worker-0"]
-        everyone = read_heartbeats(tmp_path)
-        assert len(everyone) == 2
-
     def test_empty_queue_has_no_heartbeats(self, tmp_path):
         assert read_heartbeats(tmp_path) == []
 

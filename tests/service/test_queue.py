@@ -49,7 +49,7 @@ class TestSubmit:
     def test_submit_sweep(self, tmp_path):
         queue = WorkQueue(tmp_path / "q")
         sweep = Sweep([SPEC, OTHER, SPEC])          # duplicate collapses
-        assert queue.submit_sweep(sweep) == 2
+        assert queue.submit_many(sweep, batch_size=1) == 2
         assert queue.counts()["pending"] == 2
 
 

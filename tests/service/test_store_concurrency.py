@@ -2,15 +2,13 @@
 
 Four processes hammer the same ``ResultStore`` with overlapping
 digests.  Afterwards every record must parse (atomic-rename puts never
-leave torn files), last-writer-wins must be unobservable (racing
-records are value-equal apart from provenance), and the index sidecar
-must cover every digest despite interleaved appends.  The synthetic
+leave torn files) and last-writer-wins must be unobservable (racing
+records are value-equal apart from provenance).  The synthetic
 stats here are deterministic functions of the digest so value-equality
 across writers holds by construction, exactly as it does for real
 runs.
 """
 
-import json
 import multiprocessing
 
 import pytest
@@ -74,37 +72,3 @@ class TestConcurrentWriters:
             provenance = hammered_store.load_record(digest)["provenance"]
             assert provenance["writer"] in range(WRITERS)
             assert provenance["round"] in range(ROUNDS)
-
-    def test_index_journal_covers_every_digest(self, hammered_store):
-        index = hammered_store.index()
-        assert set(index) == set(DIGESTS)
-        for digest, entry in index.items():
-            assert entry["cycles"] == _stats_for(digest).cycles
-
-    def test_index_journal_has_no_torn_lines(self, hammered_store):
-        journal = hammered_store.root / ResultStore.INDEX_NAME
-        lines = journal.read_text().splitlines()
-        # O_APPEND single-write lines from 4 processes never interleave.
-        assert len(lines) == WRITERS * ROUNDS * len(DIGESTS)
-        for line in lines:
-            json.loads(line)
-
-
-class TestIndexRecovery:
-    def test_torn_tail_is_skipped_not_fatal(self, tmp_path):
-        store = ResultStore(tmp_path / "s")
-        store.save(DIGESTS[0], _stats_for(DIGESTS[0]))
-        journal = store.root / ResultStore.INDEX_NAME
-        with open(journal, "a", encoding="utf-8") as fh:
-            fh.write('{"digest": "crash-torn-li')  # no newline: a crash
-        index = store.index()
-        assert set(index) == {DIGESTS[0]}
-
-    def test_rebuild_index_regenerates_from_records(self, tmp_path):
-        store = ResultStore(tmp_path / "s")
-        for digest in DIGESTS[:3]:
-            store.save(digest, _stats_for(digest))
-        (store.root / ResultStore.INDEX_NAME).unlink()
-        assert store.index() == {}
-        assert store.rebuild_index() == 3
-        assert set(store.index()) == set(DIGESTS[:3])
