@@ -280,12 +280,7 @@ class Core:
         thread's stats, so the issue path pays one list index + one
         call instead of a dispatch chain; operand decode is just
         attribute loads off the Instr.  The per-instruction stats
-        accounting lives *inside* each handler: a handler knows
-        statically whether its kind is a compute op (retires ``count``
-        operations) or a memory op (counts a memory instruction and
-        stall cycles), so the generic table lookups and branches the
-        issue loop used to pay per instruction are resolved at compile
-        time.  Every handler must keep the accounting identical to::
+        accounting is::
 
             icount = instr.count if IS_COMPUTE_OP[kind] else 1
             busy = max(completion - now, 1)
@@ -297,6 +292,10 @@ class Core:
             if instr.sync:
                 stats.sync_instructions += icount
                 stats.sync_cycles += busy
+
+        Every memory kind is built by ``memory``, the one place that
+        charges a memory instruction; the compute and barrier handlers
+        apply the rule with ``busy`` known statically.
         """
         lsu = self.lsu
         gsu = self.gsu
@@ -304,6 +303,27 @@ class Core:
         ll, sc = lsu.ll, lsu.sc
         vload, vstore = lsu.vload, lsu.vstore
         gather, scatter = gsu.gather, gsu.scatter
+
+        def memory(op: Callable[[Instr, int], Tuple[Any, int]]) -> Handler:
+            """Handler for a memory kind whose unit call is
+            ``op(instr, now) -> (result, completion)``."""
+
+            def handler(instr: Instr, now: int):
+                result, completion = op(instr, now)
+                busy = completion - now
+                if busy < 1:
+                    busy = 1
+                stats.instructions += 1
+                stats.busy_cycles += busy
+                stats.mem_instructions += 1
+                if busy > 1:
+                    stats.mem_stall_cycles += busy - 1
+                if instr.sync:
+                    stats.sync_instructions += 1
+                    stats.sync_cycles += busy
+                return completion, result
+
+            return handler
 
         def h_alu(instr: Instr, now: int):
             count = instr.count  # busy == count: 1 cycle/op, count >= 1
@@ -324,174 +344,19 @@ class Core:
                 stats.sync_cycles += count
             return now + count, result
 
-        def h_load(instr: Instr, now: int):
-            value, completion = load(slot, instr.addr, now, sync=instr.sync)
-            busy = completion - now
-            if busy < 1:
-                busy = 1
-            stats.instructions += 1
-            stats.busy_cycles += busy
-            stats.mem_instructions += 1
-            if busy > 1:
-                stats.mem_stall_cycles += busy - 1
-            if instr.sync:
-                stats.sync_instructions += 1
-                stats.sync_cycles += busy
-            return completion, value
-
-        def h_store(instr: Instr, now: int):
-            completion = store(
-                slot, instr.addr, instr.value, now, sync=instr.sync
-            )
-            busy = completion - now
-            if busy < 1:
-                busy = 1
-            stats.instructions += 1
-            stats.busy_cycles += busy
-            stats.mem_instructions += 1
-            if busy > 1:
-                stats.mem_stall_cycles += busy - 1
-            if instr.sync:
-                stats.sync_instructions += 1
-                stats.sync_cycles += busy
-            return completion, None
-
-        def h_ll(instr: Instr, now: int):
-            value, completion = ll(slot, instr.addr, now)
-            busy = completion - now
-            if busy < 1:
-                busy = 1
-            stats.instructions += 1
-            stats.busy_cycles += busy
-            stats.mem_instructions += 1
-            if busy > 1:
-                stats.mem_stall_cycles += busy - 1
-            if instr.sync:
-                stats.sync_instructions += 1
-                stats.sync_cycles += busy
-            return completion, value
-
-        def h_sc(instr: Instr, now: int):
-            success, completion = sc(slot, instr.addr, instr.value, now)
-            busy = completion - now
-            if busy < 1:
-                busy = 1
-            stats.instructions += 1
-            stats.busy_cycles += busy
-            stats.mem_instructions += 1
-            if busy > 1:
-                stats.mem_stall_cycles += busy - 1
-            if instr.sync:
-                stats.sync_instructions += 1
-                stats.sync_cycles += busy
-            return completion, success
-
-        def h_vload(instr: Instr, now: int):
-            values, completion = vload(
-                slot, instr.addr, instr.count, now, sync=instr.sync
-            )
-            busy = completion - now
-            if busy < 1:
-                busy = 1
-            stats.instructions += 1
-            stats.busy_cycles += busy
-            stats.mem_instructions += 1
-            if busy > 1:
-                stats.mem_stall_cycles += busy - 1
-            if instr.sync:
-                stats.sync_instructions += 1
-                stats.sync_cycles += busy
-            return completion, values
-
-        def h_vstore(instr: Instr, now: int):
-            completion = vstore(
-                slot, instr.addr, instr.values, instr.mask, now,
-                sync=instr.sync,
-            )
-            busy = completion - now
-            if busy < 1:
-                busy = 1
-            stats.instructions += 1
-            stats.busy_cycles += busy
-            stats.mem_instructions += 1
-            if busy > 1:
-                stats.mem_stall_cycles += busy - 1
-            if instr.sync:
-                stats.sync_instructions += 1
-                stats.sync_cycles += busy
-            return completion, None
-
-        def h_vgather(instr: Instr, now: int):
+        def op_vgather(instr: Instr, now: int):
             (values, _), completion = gather(
                 slot, instr.base, instr.indices, instr.mask, now,
                 linked=False, sync=instr.sync,
             )
-            busy = completion - now
-            if busy < 1:
-                busy = 1
-            stats.instructions += 1
-            stats.busy_cycles += busy
-            stats.mem_instructions += 1
-            if busy > 1:
-                stats.mem_stall_cycles += busy - 1
-            if instr.sync:
-                stats.sync_instructions += 1
-                stats.sync_cycles += busy
-            return completion, values
+            return values, completion
 
-        def h_vgatherlink(instr: Instr, now: int):
-            result, completion = gather(
-                slot, instr.base, instr.indices, instr.mask, now,
-                linked=True,
-            )
-            busy = completion - now
-            if busy < 1:
-                busy = 1
-            stats.instructions += 1
-            stats.busy_cycles += busy
-            stats.mem_instructions += 1
-            if busy > 1:
-                stats.mem_stall_cycles += busy - 1
-            if instr.sync:
-                stats.sync_instructions += 1
-                stats.sync_cycles += busy
-            return completion, result
-
-        def h_vscatter(instr: Instr, now: int):
+        def op_vscatter(instr: Instr, now: int):
             _, completion = scatter(
                 slot, instr.base, instr.indices, instr.values, instr.mask,
                 now, conditional=False, sync=instr.sync,
             )
-            busy = completion - now
-            if busy < 1:
-                busy = 1
-            stats.instructions += 1
-            stats.busy_cycles += busy
-            stats.mem_instructions += 1
-            if busy > 1:
-                stats.mem_stall_cycles += busy - 1
-            if instr.sync:
-                stats.sync_instructions += 1
-                stats.sync_cycles += busy
-            return completion, None
-
-        def h_vscattercond(instr: Instr, now: int):
-            out_mask, completion = scatter(
-                slot, instr.base, instr.indices, instr.values, instr.mask,
-                now, conditional=True,
-            )
-            busy = completion - now
-            if busy < 1:
-                busy = 1
-            stats.instructions += 1
-            stats.busy_cycles += busy
-            stats.mem_instructions += 1
-            if busy > 1:
-                stats.mem_stall_cycles += busy - 1
-            if instr.sync:
-                stats.sync_instructions += 1
-                stats.sync_cycles += busy
-            return completion, out_mask
+            return None, completion
 
         def h_barrier(instr: Instr, now: int):
             stats.instructions += 1  # busy is identically 1
@@ -509,15 +374,44 @@ class Core:
         table: List[Handler] = [h_unhandled] * N_KINDS
         table[Kind.ALU] = h_alu
         table[Kind.VALU] = h_valu
-        table[Kind.LOAD] = h_load
-        table[Kind.STORE] = h_store
-        table[Kind.LL] = h_ll
-        table[Kind.SC] = h_sc
-        table[Kind.VLOAD] = h_vload
-        table[Kind.VSTORE] = h_vstore
-        table[Kind.VGATHER] = h_vgather
-        table[Kind.VGATHERLINK] = h_vgatherlink
-        table[Kind.VSCATTER] = h_vscatter
-        table[Kind.VSCATTERCOND] = h_vscattercond
+        table[Kind.LOAD] = memory(
+            lambda instr, now: load(slot, instr.addr, now, sync=instr.sync)
+        )
+        table[Kind.STORE] = memory(
+            lambda instr, now: (None, store(
+                slot, instr.addr, instr.value, now, sync=instr.sync
+            ))
+        )
+        table[Kind.LL] = memory(
+            lambda instr, now: ll(slot, instr.addr, now)
+        )
+        table[Kind.SC] = memory(
+            lambda instr, now: sc(slot, instr.addr, instr.value, now)
+        )
+        table[Kind.VLOAD] = memory(
+            lambda instr, now: vload(
+                slot, instr.addr, instr.count, now, sync=instr.sync
+            )
+        )
+        table[Kind.VSTORE] = memory(
+            lambda instr, now: (None, vstore(
+                slot, instr.addr, instr.values, instr.mask, now,
+                sync=instr.sync,
+            ))
+        )
+        table[Kind.VGATHER] = memory(op_vgather)
+        table[Kind.VGATHERLINK] = memory(
+            lambda instr, now: gather(
+                slot, instr.base, instr.indices, instr.mask, now,
+                linked=True,
+            )
+        )
+        table[Kind.VSCATTER] = memory(op_vscatter)
+        table[Kind.VSCATTERCOND] = memory(
+            lambda instr, now: scatter(
+                slot, instr.base, instr.indices, instr.values, instr.mask,
+                now, conditional=True,
+            )
+        )
         table[Kind.BARRIER] = h_barrier
         return table

@@ -342,16 +342,14 @@ class Gsu:
                                     "scattercond", 1, False, "alias",
                                 )
                             )
-            for line_addr, group in groups.items():
-                first = group[0]
-                acc_start = book(start + first[_ORDER] + 1)
+        for line_addr, group in groups.items():
+            first = group[0]
+            acc_start = book(start + first[_ORDER] + 1)
+            if conditional:
                 access, ok, cause = self.coherence.write_conditional(
                     self.core_id, slot, first[_ADDR], acc_start
                 )
                 if ok:
-                    for req in group:
-                        store_word(req[_ADDR], values[req[_LANE]])
-                        out_bits |= 1 << req[_LANE]
                     self.stats.scattercond_successes += len(group)
                 else:
                     self.stats.record_glsc_failure(cause, len(group))
@@ -362,29 +360,21 @@ class Gsu:
                             "scattercond", len(group), ok, cause,
                         )
                     )
-                acc_end = acc_start + access.latency
-                if acc_end > completion:
-                    completion = acc_end
-                if len(group) > 1:
-                    completion = self._charge_combined_lanes(
-                        group, slot, "scatter", start, sync, completion
-                    )
-        else:
-            for line_addr, group in groups.items():
-                first = group[0]
-                acc_start = book(start + first[_ORDER] + 1)
+            else:
                 access = self.coherence.write(
                     self.core_id, slot, first[_ADDR], acc_start, sync=sync
                 )
+                ok = True
+            if ok:
                 for req in group:
                     store_word(req[_ADDR], values[req[_LANE]])
                     out_bits |= 1 << req[_LANE]
-                acc_end = acc_start + access.latency
-                if acc_end > completion:
-                    completion = acc_end
-                if len(group) > 1:
-                    completion = self._charge_combined_lanes(
-                        group, slot, "scatter", start, sync, completion
-                    )
+            acc_end = acc_start + access.latency
+            if acc_end > completion:
+                completion = acc_end
+            if len(group) > 1:
+                completion = self._charge_combined_lanes(
+                    group, slot, "scatter", start, sync, completion
+                )
 
         return Mask._raw(out_bits, width), completion

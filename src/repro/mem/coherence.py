@@ -76,6 +76,9 @@ __all__ = [
     "LEVEL_REMOTE",
 ]
 
+#: Reservation-loss cause of each reason an L1 copy is invalidated.
+_LOSS_CAUSE = {"remote_write": "thread_conflict", "l2_eviction": "eviction"}
+
 
 class CoherenceSystem:
     """Owns all shared memory-system state and implements transactions."""
@@ -553,16 +556,22 @@ class CoherenceSystem:
         self,
         core: int,
         line_addr: int,
+        cause: str,
         now: int,
         attacker_core: int = -1,
         attacker_slot: int = -1,
     ) -> None:
-        """Invalidate one L1 copy (remote write observed)."""
+        """Invalidate one L1 copy and destroy its reservations.
+
+        ``cause`` is ``"remote_write"`` (another core obtains M; the
+        reservations die of ``thread_conflict``) or ``"l2_eviction"``
+        (the inclusive L2 dropped the line; they die of ``eviction``).
+        """
         line = self.l1s[core].invalidate(line_addr)
         if line is None:
             raise SimulationError(
-                f"directory says core {core} shares {line_addr:#x} but "
-                f"its L1 does not hold it"
+                f"{cause} of {line_addr:#x}: directory lists core {core} "
+                f"but its L1 lacks the line"
             )
         obs = self.obs
         dirty = line.state in self._dirty_states
@@ -572,15 +581,16 @@ class CoherenceSystem:
         self.protocol.counts["Inv"] += 1
         if obs is not None:
             if obs.wants_coherence:
-                obs.emit(Invalidation(now, core, line_addr, "remote_write"))
+                obs.emit(Invalidation(now, core, line_addr, cause))
                 if dirty:
                     obs.emit(Writeback(now, core, line_addr, "invalidation"))
             if obs.wants_protocol:
-                obs.emit(Inv(now, core, line_addr, "remote_write"))
+                obs.emit(Inv(now, core, line_addr, cause))
+        loss = _LOSS_CAUSE[cause]
         victims = self.reservations.clear_core_line(core, line_addr)
-        self._emit_scalar_losses(victims, line_addr, "thread_conflict", now,
+        self._emit_scalar_losses(victims, line_addr, loss, now,
                                  attacker_core, attacker_slot)
-        self._kill_glsc_departed(core, line, "thread_conflict", now,
+        self._kill_glsc_departed(core, line, loss, now,
                                  attacker_core, attacker_slot)
 
     def _back_invalidate(
@@ -591,47 +601,9 @@ class CoherenceSystem:
         attacker_slot: int = -1,
     ) -> None:
         """Inclusive-L2 eviction: remove every L1 copy of the victim."""
-        obs = self.obs
-        wants_coherence = obs is not None and obs.wants_coherence
-        wants_protocol = obs is not None and obs.wants_protocol
-        counts = self.protocol.counts
         for core in sorted(victim_entry.sharers):
-            line = self.l1s[core].invalidate(victim_entry.line_addr)
-            if line is None:
-                raise SimulationError(
-                    f"L2 victim {victim_entry.line_addr:#x}: directory "
-                    f"lists core {core} but its L1 lacks the line"
-                )
-            dirty = line.state in self._dirty_states
-            if dirty:
-                self.stats.writebacks += 1
-            self.stats.invalidations_sent += 1
-            counts["Inv"] += 1
-            if wants_coherence:
-                obs.emit(
-                    Invalidation(
-                        now, core, victim_entry.line_addr, "l2_eviction"
-                    )
-                )
-                if dirty:
-                    obs.emit(
-                        Writeback(
-                            now, core, victim_entry.line_addr, "invalidation"
-                        )
-                    )
-            if wants_protocol:
-                obs.emit(
-                    Inv(now, core, victim_entry.line_addr, "l2_eviction")
-                )
-            victims = self.reservations.clear_core_line(
-                core, victim_entry.line_addr
-            )
-            self._emit_scalar_losses(
-                victims, victim_entry.line_addr, "eviction", now,
-                attacker_core, attacker_slot,
-            )
-            self._kill_glsc_departed(core, line, "eviction", now,
-                                     attacker_core, attacker_slot)
+            self._invalidate_l1(core, victim_entry.line_addr, "l2_eviction",
+                                now, attacker_core, attacker_slot)
 
     def _emit_scalar_losses(
         self,
@@ -712,9 +684,9 @@ class CoherenceSystem:
         """A word on ``line_addr`` was written: destroy every reservation.
 
         Runs once per store, so the common no-reservations case is
-        resolved inline: the scalar file is consulted only when it has
-        any holder at all, and the GLSC entry is taken (holder + clear
-        in one lookup) rather than queried then cleared.
+        cheap: the scalar file is consulted only when it has any holder
+        at all, and :meth:`_kill_glsc` takes the GLSC entry (holder +
+        clear in one lookup) rather than querying then clearing it.
         """
         reservations = self.reservations
         if reservations._held:
@@ -726,17 +698,8 @@ class CoherenceSystem:
         # Other cores' GLSC entries died with their invalidations; the
         # writer's own core may still hold one (another SMT thread, or
         # a stale own link) — normal stores clear it too (Section 3.3).
-        holder = self.glsc.take(writer_core, line_addr)
-        if holder is not None:
-            self._glsc_loss_cause[(writer_core, line_addr)] = \
-                "thread_conflict"
-            obs = self.obs
-            if obs is not None and obs.wants_reservation:
-                obs.emit(
-                    ReservationLost(now, writer_core, holder, line_addr,
-                                    "glsc", "thread_conflict",
-                                    writer_core, attacker_slot)
-                )
+        self._kill_glsc(writer_core, line_addr, "thread_conflict", now,
+                        writer_core, attacker_slot)
 
     # ------------------------------------------------------------------
     # prefetcher

@@ -50,6 +50,7 @@ from typing import Dict, NamedTuple, Optional, Tuple, Type
 
 from repro.errors import ConfigError, SimulationError
 from repro.mem.cache import MESI_E, MOESI_O, MSI_M, MSI_S
+from repro.mem.directory import DirectoryEntry
 from repro.mem.messages import (
     Ack,
     Fwd,
@@ -195,6 +196,29 @@ class CoherenceProtocol:
 
     # -- transactions ------------------------------------------------------
 
+    def _fetch_l2(
+        self, core: int, slot: int, line_addr: int, now: int
+    ) -> Tuple[DirectoryEntry, bool, int]:
+        """Bring ``line_addr`` into the inclusive L2 for ``core``'s fill.
+
+        Back-invalidates the L2 victim's L1 copies (attributed to
+        ``core``/``slot``; ``slot`` is -1 for a prefetch) and, on an L2
+        miss, reads DRAM.  Returns ``(entry, l2_hit, dram_latency)``;
+        ``dram_latency`` is 0 on a hit.
+        """
+        host = self.host
+        stats = host.stats
+        entry, l2_hit, l2_victim = host.l2.fetch(line_addr, now)
+        stats.l2_accesses += 1
+        if l2_victim is not None:
+            host._back_invalidate(l2_victim, now, core, slot)
+        dram_latency = 0
+        if not l2_hit:
+            stats.l2_misses += 1
+            dram_latency = host.dram.access()
+            stats.mem_accesses += 1
+        return entry, l2_hit, dram_latency
+
     def read_miss(
         self, core: int, slot: int, line_addr: int, now: int, victim_ok
     ) -> Optional[AccessResult]:
@@ -214,15 +238,11 @@ class CoherenceProtocol:
         level = LEVEL_L2
         if wants_protocol:
             obs.emit(GetS(now, core, slot, line_addr, wait))
-        entry, l2_hit, l2_victim = host.l2.fetch(line_addr, now)
-        host.stats.l2_accesses += 1
-        if l2_victim is not None:
-            host._back_invalidate(l2_victim, now,
-                                  attacker_core=core, attacker_slot=slot)
+        entry, l2_hit, dram_latency = self._fetch_l2(
+            core, slot, line_addr, now
+        )
         if not l2_hit:
-            host.stats.l2_misses += 1
-            latency += host.dram.access()
-            host.stats.mem_accesses += 1
+            latency += dram_latency
             level = LEVEL_MEM
         if wants_cache:
             obs.emit(
@@ -303,8 +323,8 @@ class CoherenceProtocol:
             latency += cfg.remote_l1_latency
             level = LEVEL_REMOTE
             for other in sorted(others):
-                host._invalidate_l1(other, line_addr, now,
-                                    attacker_core=core, attacker_slot=slot)
+                host._invalidate_l1(other, line_addr, "remote_write", now,
+                                    core, slot)
         entry.set_owner(core)
         entry.last_use = now
         line.state = MSI_M
@@ -334,15 +354,11 @@ class CoherenceProtocol:
         level = LEVEL_L2
         if wants_protocol:
             obs.emit(GetM(now, core, slot, line_addr, wait))
-        entry, l2_hit, l2_victim = host.l2.fetch(line_addr, now)
-        host.stats.l2_accesses += 1
-        if l2_victim is not None:
-            host._back_invalidate(l2_victim, now,
-                                  attacker_core=core, attacker_slot=slot)
+        entry, l2_hit, dram_latency = self._fetch_l2(
+            core, slot, line_addr, now
+        )
         if not l2_hit:
-            host.stats.l2_misses += 1
-            latency += host.dram.access()
-            host.stats.mem_accesses += 1
+            latency += dram_latency
             level = LEVEL_MEM
         if wants_cache:
             obs.emit(
@@ -356,8 +372,8 @@ class CoherenceProtocol:
             if level != LEVEL_MEM:
                 level = LEVEL_REMOTE
             for other in sorted(holders - {core}):
-                host._invalidate_l1(other, line_addr, now,
-                                    attacker_core=core, attacker_slot=slot)
+                host._invalidate_l1(other, line_addr, "remote_write", now,
+                                    core, slot)
         if not host._install_l1(core, line_addr, MSI_M, now, victim_ok=None,
                                 attacker_slot=slot):
             raise SimulationError("unfiltered L1 install refused")
@@ -371,14 +387,7 @@ class CoherenceProtocol:
         """Install a prefetched line with no thread-visible latency."""
         host = self.host
         obs = host.obs
-        entry, l2_hit, l2_victim = host.l2.fetch(line_addr, now)
-        host.stats.l2_accesses += 1
-        if l2_victim is not None:
-            host._back_invalidate(l2_victim, now, attacker_core=core)
-        if not l2_hit:
-            host.stats.l2_misses += 1
-            host.dram.access()
-            host.stats.mem_accesses += 1
+        entry, _, _ = self._fetch_l2(core, -1, line_addr, now)
         if entry.owner is not None and entry.owner != core:
             self._forward_for_read(entry, core, line_addr, now)
         self.counts["GetS"] += 1

@@ -3,9 +3,11 @@
 import pytest
 
 from repro.errors import ProgramError
-from repro.isa.instructions import Instr, Kind
+from repro.isa.instructions import IS_COMPUTE_OP, IS_MEMORY_OP, Instr, Kind
+from repro.obs.bus import EventBus
 from repro.sim.config import MachineConfig
-from repro.sim.machine import Machine
+from repro.sim.machine import BARRIER_RELEASE_COST, Machine
+from repro.sim.trace import InstructionTrace
 
 
 def single_thread_machine(**cfg_kwargs):
@@ -167,3 +169,76 @@ class TestStatAttribution:
         assert seen["sc"].all()
         assert seen["scatter"] is None
         assert data.to_list() == [9, 9, 9, 9]
+
+
+#: One instruction of each kind, built against a 4-word array at ``base``.
+_ONE_INSTR = {
+    Kind.ALU: lambda base, sync: Instr.alu(3, sync=sync),
+    Kind.VALU: lambda base, sync: Instr.valu(lambda: 7, count=2, sync=sync),
+    Kind.LOAD: lambda base, sync: Instr.load(base, sync=sync),
+    Kind.STORE: lambda base, sync: Instr.store(base, 5, sync=sync),
+    Kind.LL: lambda base, sync: Instr.ll(base, sync=sync),
+    Kind.SC: lambda base, sync: Instr.sc(base, 5, sync=sync),
+    Kind.VLOAD: lambda base, sync: Instr.vload(base, 4, sync=sync),
+    Kind.VSTORE: lambda base, sync: Instr.vstore(
+        base, (1, 2, 3, 4), sync=sync
+    ),
+    Kind.VGATHER: lambda base, sync: Instr.vgather(
+        base, [0, 1, 2, 3], sync=sync
+    ),
+    Kind.VSCATTER: lambda base, sync: Instr.vscatter(
+        base, [3, 2, 1, 0], (1, 2, 3, 4), sync=sync
+    ),
+    Kind.VGATHERLINK: lambda base, sync: Instr.vgatherlink(
+        base, [0, 1, 2, 3], sync=sync
+    ),
+    Kind.VSCATTERCOND: lambda base, sync: Instr.vscattercond(
+        base, [0, 1, 2, 3], (1, 2, 3, 4), sync=sync
+    ),
+    Kind.BARRIER: lambda base, sync: Instr(
+        Kind.BARRIER, sync=sync, group="all"
+    ),
+}
+
+
+class TestAccountingRule:
+    """Every kind charges its thread by the one rule in
+    ``Core._compile_handlers``' docstring, applied to the retired
+    instruction's trace event."""
+
+    def test_every_kind_is_covered(self):
+        assert set(_ONE_INSTR) == set(Kind)
+
+    @pytest.mark.parametrize("sync", [False, True], ids=["plain", "sync"])
+    @pytest.mark.parametrize("kind", list(Kind), ids=lambda k: k.name)
+    def test_one_instruction(self, kind, sync):
+        bus = EventBus()
+        trace = bus.attach(InstructionTrace())
+        machine = Machine(
+            MachineConfig(n_cores=1, threads_per_core=1, simd_width=4),
+            obs=bus,
+        )
+        data = machine.image.alloc_zeros(4)
+        instr = _ONE_INSTR[kind](data.base, sync)
+
+        def program(ctx):
+            yield instr
+
+        machine.add_program(program)
+        stats = machine.run().threads[0]
+
+        (event,) = trace.events
+        assert event.kind == kind and event.sync == sync
+        icount = instr.count if IS_COMPUTE_OP[kind] else 1
+        busy = event.latency
+        release = BARRIER_RELEASE_COST if kind == Kind.BARRIER else 0
+        assert stats.instructions == icount
+        assert stats.busy_cycles == busy + release
+        if IS_MEMORY_OP[kind]:
+            assert stats.mem_instructions == 1
+            assert stats.mem_stall_cycles == (busy - 1 if busy > 1 else 0)
+        else:
+            assert stats.mem_instructions == 0
+            assert stats.mem_stall_cycles == 0
+        assert stats.sync_instructions == (icount if sync else 0)
+        assert stats.sync_cycles == (busy if sync else 0) + release

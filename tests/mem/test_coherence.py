@@ -12,11 +12,14 @@ from repro.mem.coherence import (
     LEVEL_MEM,
     LEVEL_REMOTE,
 )
+from repro.mem.messages import Inv
+from repro.obs.bus import EventBus, Sink
+from repro.obs.events import Invalidation, ReservationLost
 from repro.sim.config import MachineConfig
 from repro.sim.stats import MachineStats
 
 
-def make_system(**overrides):
+def make_system(obs=None, **overrides):
     defaults = dict(
         n_cores=2,
         threads_per_core=2,
@@ -25,7 +28,17 @@ def make_system(**overrides):
     defaults.update(overrides)
     config = MachineConfig(**defaults)
     stats = MachineStats()
-    return CoherenceSystem(config, stats), config, stats
+    return CoherenceSystem(config, stats, obs=obs), config, stats
+
+
+class Collect(Sink):
+    """Records every event, in emission order."""
+
+    def __init__(self):
+        self.events = []
+
+    def on_event(self, event):
+        self.events.append(event)
 
 
 ADDR = 0x1000
@@ -296,6 +309,62 @@ class TestInclusionAndBackInvalidation:
         sys_.read(0, 0, lines[2], now=2)
         _, ok, cause = sys_.write_conditional(0, 0, lines[0], now=3)
         assert not ok and cause == "eviction"
+
+    @staticmethod
+    def _invalidation_events(sink, since):
+        return [
+            e for e in sink.events[since:]
+            if type(e) in (Invalidation, Inv, ReservationLost)
+        ]
+
+    @staticmethod
+    def _expected(line, now, inv_cause, loss_cause, attacker):
+        """Per sharer, in ascending core order: Invalidation, Inv, then
+        the loss of the reservation it held (core 0 a scalar one in
+        slot 0, core 1 a GLSC link in slot 1)."""
+        return [
+            Invalidation(now, 0, line, inv_cause),
+            Inv(now, 0, line, inv_cause),
+            ReservationLost(now, 0, 0, line, "scalar", loss_cause,
+                            *attacker),
+            Invalidation(now, 1, line, inv_cause),
+            Inv(now, 1, line, inv_cause),
+            ReservationLost(now, 1, 1, line, "glsc", loss_cause, *attacker),
+        ]
+
+    def test_l2_eviction_event_contract(self):
+        sink = Collect()
+        bus = EventBus()
+        bus.attach(sink)
+        sys_, _, _ = make_system(
+            obs=bus, l2_size_bytes=2 * 64 * 2, l2_assoc=2, l2_banks=1
+        )
+        set_stride = 2 * 64
+        lines = [k * set_stride for k in range(3)]
+        sys_.scalar_ll(0, 0, lines[0], now=0)
+        sys_.read_linked(1, 1, lines[0], now=1)
+        sys_.read(0, 0, lines[1], now=2)
+        since = len(sink.events)
+        sys_.read(0, 1, lines[2], now=3)  # evicts lines[0] from L2
+        assert self._invalidation_events(sink, since) == self._expected(
+            lines[0], 3, "l2_eviction", "eviction", (0, 1)
+        )
+        sys_.check_invariants()
+
+    def test_remote_write_event_contract(self):
+        sink = Collect()
+        bus = EventBus()
+        bus.attach(sink)
+        sys_, _, _ = make_system(obs=bus, n_cores=3)
+        sys_.scalar_ll(0, 0, ADDR, now=0)
+        sys_.read_linked(1, 1, ADDR, now=1)
+        since = len(sink.events)
+        sys_.write(2, 1, ADDR, now=2)
+        line = sys_.geometry.line_addr(ADDR)
+        assert self._invalidation_events(sink, since) == self._expected(
+            line, 2, "remote_write", "thread_conflict", (2, 1)
+        )
+        sys_.check_invariants()
 
 
 class TestPrefetcher:
