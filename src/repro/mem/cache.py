@@ -171,13 +171,6 @@ class L1Cache:
         """Remove ``line_addr`` (→ I).  Returns the line that was resident."""
         return self._set_for(line_addr).pop(line_addr, None)
 
-    def downgrade(self, line_addr: int) -> Optional[L1Line]:
-        """M → S transition (remote read observed).  Returns the line."""
-        line = self.lookup(line_addr)
-        if line is not None and line.state == MSI_M:
-            line.state = MSI_S
-        return line
-
     def resident_lines(self) -> Iterator[L1Line]:
         """All resident lines (for invariant checks and tests)."""
         for cache_set in self._sets:

@@ -60,6 +60,7 @@ from repro.obs.events import (
     ReservationSet,
     Writeback,
 )
+from repro.mem.directory import cores_in
 from repro.mem.dram import MainMemory
 from repro.mem.l2 import L2Cache
 from repro.mem.prefetch import StridePrefetcher
@@ -601,7 +602,7 @@ class CoherenceSystem:
         attacker_slot: int = -1,
     ) -> None:
         """Inclusive-L2 eviction: remove every L1 copy of the victim."""
-        for core in sorted(victim_entry.sharers):
+        for core in cores_in(victim_entry.sharers):
             self._invalidate_l1(core, victim_entry.line_addr, "l2_eviction",
                                 now, attacker_core, attacker_slot)
 
@@ -724,7 +725,7 @@ class CoherenceSystem:
         protocol = self.protocol
         for entry in self.l2.entries():
             protocol.check_entry(entry)
-            for core in entry.sharers:
+            for core in cores_in(entry.sharers):
                 line = self.l1s[core].lookup(entry.line_addr)
                 if line is None:
                     raise SimulationError(
@@ -746,7 +747,7 @@ class CoherenceSystem:
                         f"L1 of core {core} holds {line.line_addr:#x} "
                         f"not present in the inclusive L2"
                     )
-                if core not in entry.sharers:
+                if not entry.sharers >> core & 1:
                     raise SimulationError(
                         f"L1 of core {core} holds {line.line_addr:#x} "
                         f"but the directory does not list it"

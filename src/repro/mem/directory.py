@@ -2,17 +2,26 @@
 
 Each L2-resident line carries the coherence directory information the
 paper describes ("The shared cache holds directory information for each
-cache line to maintain coherence amongst the private caches"): the set
-of L1 sharers and the owning core when some L1 holds the line modified.
+cache line to maintain coherence amongst the private caches"): a
+bitmask of the L1 sharers (bit ``c`` set when core ``c`` holds a copy)
+and the owning core when some L1 holds the line exclusively.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Set
+from typing import Iterator, Optional
 
 from repro.errors import SimulationError
 
-__all__ = ["DirectoryEntry"]
+__all__ = ["DirectoryEntry", "cores_in"]
+
+
+def cores_in(mask: int) -> Iterator[int]:
+    """The core ids whose bits are set in ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 class DirectoryEntry:
@@ -22,7 +31,7 @@ class DirectoryEntry:
 
     def __init__(self, line_addr: int, now: int) -> None:
         self.line_addr = line_addr
-        self.sharers: Set[int] = set()
+        self.sharers = 0
         self.owner: Optional[int] = None
         self.last_use = now
 
@@ -30,7 +39,7 @@ class DirectoryEntry:
         """Record that ``core_id`` holds the line in S state.
 
         ``shared_owner_ok`` is the MOESI relaxation: an O-state owner
-        keeps the line (dirty) while readers join the sharer set, so
+        keeps the line (dirty) while readers join the sharers, so
         owner and foreign sharers may coexist.  MSI/MESI keep the
         strict exclusive-owner rule.
         """
@@ -43,46 +52,43 @@ class DirectoryEntry:
                 f"line {self.line_addr:#x}: adding sharer {core_id} while "
                 f"owned by {self.owner}"
             )
-        self.sharers.add(core_id)
+        self.sharers |= 1 << core_id
 
     def set_owner(self, core_id: int) -> None:
-        """Record that ``core_id`` holds the line in M state (sole copy)."""
-        self.sharers = {core_id}
+        """Record that ``core_id`` holds the line exclusively (sole copy)."""
+        self.sharers = 1 << core_id
         self.owner = core_id
 
     def clear_owner(self) -> None:
-        """Owner downgraded to S (sharers keep the owner's entry)."""
+        """Owner downgraded to S (its sharer bit stays set)."""
         self.owner = None
 
     def drop(self, core_id: int) -> None:
         """``core_id`` no longer holds the line (eviction/invalidation)."""
-        self.sharers.discard(core_id)
+        self.sharers &= ~(1 << core_id)
         if self.owner == core_id:
             self.owner = None
 
     def check(self, shared_owner_ok: bool = False) -> None:
-        """Assert internal consistency (used by invariant tests).
+        """Assert the owner rule (used by invariant tests).
 
-        Under the strict (MSI/MESI) shape an owner is the sole sharer;
-        under MOESI (``shared_owner_ok``) the owner must merely be a
-        member of the sharer set.
+        An owner's sharer bit is set, and it is the only bit set unless
+        the protocol has an O state (``shared_owner_ok``), whose owner
+        keeps the dirty line while readers share it.
         """
         if self.owner is None:
             return
-        if shared_owner_ok:
-            if self.owner not in self.sharers:
-                raise SimulationError(
-                    f"line {self.line_addr:#x}: owner {self.owner} not in "
-                    f"sharers {sorted(self.sharers)}"
-                )
-        elif self.sharers != {self.owner}:
+        bit = 1 << self.owner
+        if not self.sharers & bit or (
+            not shared_owner_ok and self.sharers != bit
+        ):
             raise SimulationError(
                 f"line {self.line_addr:#x}: owner {self.owner} but "
-                f"sharers {sorted(self.sharers)}"
+                f"sharers {list(cores_in(self.sharers))}"
             )
 
     def __repr__(self) -> str:
         return (
-            f"DirectoryEntry({self.line_addr:#x}, sharers={sorted(self.sharers)}, "
-            f"owner={self.owner})"
+            f"DirectoryEntry({self.line_addr:#x}, "
+            f"sharers={list(cores_in(self.sharers))}, owner={self.owner})"
         )

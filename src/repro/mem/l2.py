@@ -107,10 +107,6 @@ class L2Cache:
         cache_set[line_addr] = entry
         return entry, False, victim
 
-    def evict_for_test(self, line_addr: int) -> Optional[DirectoryEntry]:
-        """Force-evict a line (testing hook for inclusion behaviour)."""
-        return self._set_for(line_addr).pop(line_addr, None)
-
     def entries(self) -> Iterator[DirectoryEntry]:
         """All resident directory entries (for invariant checks)."""
         for cache_set in self._sets.values():

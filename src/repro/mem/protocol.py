@@ -13,10 +13,9 @@ Three policies register out of the box:
 
 ``msi``
     The reference protocol the paper's numbers were captured under.
-    Its transaction code is a line-for-line port of the original
-    ``CoherenceSystem`` internals, so the default configuration stays
-    *bitwise identical* to the goldens (cycle counts and stats
-    digests), which ``tests/bench/test_equivalence.py`` gates.
+    The default configuration stays *bitwise identical* to the goldens
+    (cycle counts and stats digests), which
+    ``tests/bench/test_equivalence.py`` gates.
 
 ``mesi``
     Adds the E state: a read miss that finds no other L1 holder
@@ -32,11 +31,14 @@ Three policies register out of the box:
     as a sharer *alongside* the owner, and the writeback is deferred to
     the O line's eviction or invalidation.
 
-Adding a protocol is: subclass :class:`CoherenceProtocol` (usually one
-of the concrete policies), override the fill/forward/upgrade hooks,
-declare ``name``/``dirty_states``/``TRANSITIONS``, and decorate with
+Adding a protocol is: subclass one of the concrete policies, override
+the fill/forward/write-hit hooks it changes, declare
+``name``/``dirty_states``/``TRANSITIONS``, and decorate with
 :func:`register_protocol`.  Select it via ``MachineConfig.protocol``
-(CLI ``--protocol``).
+(CLI ``--protocol``).  The invariant checks need no override: the
+directory owner rule lives in :meth:`DirectoryEntry.check`, and
+:meth:`CoherenceProtocol.check_entry` / :meth:`expected_l1_states`
+read the owner's states and the O-state relaxation off ``TRANSITIONS``.
 
 Every policy keeps an always-on per-kind message tally in
 :attr:`CoherenceProtocol.counts` (plain ints — cheap enough for
@@ -49,8 +51,8 @@ from __future__ import annotations
 from typing import Dict, NamedTuple, Optional, Tuple, Type
 
 from repro.errors import ConfigError, SimulationError
-from repro.mem.cache import MESI_E, MOESI_O, MSI_M, MSI_S
-from repro.mem.directory import DirectoryEntry
+from repro.mem.cache import MESI_E, MOESI_O, MSI_M, MSI_S, STATE_NAMES
+from repro.mem.directory import DirectoryEntry, cores_in
 from repro.mem.messages import (
     Ack,
     Fwd,
@@ -128,16 +130,15 @@ def make_protocol(name: str, host) -> "CoherenceProtocol":
 class CoherenceProtocol:
     """Policy half of the coherence seam.
 
-    Concrete policies implement the three transaction entry points the
+    This base class implements the three transaction entry points the
     :class:`~repro.mem.coherence.CoherenceSystem` delegates to —
     :meth:`read_miss` (GetS), :meth:`obtain_modified` (GetM /
-    Upgrade / silent upgrade), :meth:`prefetch_fill` — plus the
-    invariant vocabulary (:attr:`dirty_states`,
-    :meth:`expected_l1_states`, :meth:`check_entry`) and a declarative
-    :attr:`TRANSITIONS` table of legal L1 state edges.
-
-    The shared GetS/GetM plumbing lives in this base class; policies
-    differentiate through the fill/forward/upgrade hooks.
+    Upgrade / silent upgrade), :meth:`prefetch_fill` — and the
+    invariant checks (:meth:`expected_l1_states`, :meth:`check_entry`).
+    Concrete policies declare :attr:`dirty_states` and a
+    :attr:`TRANSITIONS` table of legal L1 state edges, from which the
+    invariant checks are derived, and differentiate through the
+    fill/forward/write-hit hooks.
     """
 
     #: Registry key; subclasses must override.
@@ -318,11 +319,11 @@ class CoherenceProtocol:
                 f"L1 of core {core} holds {line_addr:#x} but the "
                 f"inclusive L2 does not"
             )
-        others = entry.sharers - {core}
+        others = entry.sharers & ~(1 << core)
         if others:
             latency += cfg.remote_l1_latency
             level = LEVEL_REMOTE
-            for other in sorted(others):
+            for other in cores_in(others):
                 host._invalidate_l1(other, line_addr, "remote_write", now,
                                     core, slot)
         entry.set_owner(core)
@@ -366,12 +367,12 @@ class CoherenceProtocol:
                 if not l2_hit
                 else CacheHit(now, core, slot, line_addr, "L2", "write")
             )
-        holders = set(entry.sharers)
-        if holders - {core}:
+        others = entry.sharers & ~(1 << core)
+        if others:
             latency += cfg.remote_l1_latency
             if level != LEVEL_MEM:
                 level = LEVEL_REMOTE
-            for other in sorted(holders - {core}):
+            for other in cores_in(others):
                 host._invalidate_l1(other, line_addr, "remote_write", now,
                                     core, slot)
         if not host._install_l1(core, line_addr, MSI_M, now, victim_ok=None,
@@ -407,22 +408,34 @@ class CoherenceProtocol:
     # -- invariants --------------------------------------------------------
 
     def expected_l1_states(self, entry, core: int) -> Tuple[int, ...]:
-        """L1 states the directory entry permits ``core`` to hold."""
-        raise NotImplementedError
+        """L1 states the directory entry permits ``core`` to hold.
+
+        A sharer that is not the owner holds S; the owner holds any
+        other resident state of :attr:`TRANSITIONS` (one with an edge
+        to I): M, plus E under MESI, plus O under MOESI.
+        """
+        if entry.owner != core:
+            return (MSI_S,)
+        transitions = self.TRANSITIONS
+        return tuple(
+            state for state, name in STATE_NAMES.items()
+            if state != MSI_S and (name, "I") in transitions
+        )
 
     def check_entry(self, entry) -> None:
-        """Directory-entry consistency (protocol-specific shape)."""
-        entry.check()
+        """The directory owner rule, relaxed if the protocol has O."""
+        entry.check(shared_owner_ok=("O", "I") in self.TRANSITIONS)
 
 
 @register_protocol
 class MsiProtocol(CoherenceProtocol):
     """The paper's baseline directory MSI protocol.
 
-    A line-for-line port of the pre-seam ``CoherenceSystem``
-    internals: every stat increment, directory mutation, and latency
-    term happens in the original order, so default-``msi`` runs stay
-    bitwise identical to the goldens.
+    Every stat increment, directory mutation, and latency term happens
+    in the order the goldens were captured in, so default-``msi`` runs
+    stay bitwise identical to them.  MESI reuses its forward: an MSI
+    owner is always in M, so "write back only if the owner's line is
+    M" is MSI's unconditional writeback.
     """
 
     name = "msi"
@@ -444,72 +457,9 @@ class MsiProtocol(CoherenceProtocol):
 
     def _forward_for_read(self, entry, core: int, line_addr: int,
                           now: int) -> None:
-        # Dirty in a remote L1: forward + downgrade (M -> S) and write
-        # the data back to the L2.  Reservations survive a remote
-        # *read*; only writes kill them.
-        host = self.host
-        obs = host.obs
-        owner = entry.owner
-        if host.l1s[owner].downgrade(line_addr) is None:
-            raise SimulationError(
-                f"directory says core {owner} owns {line_addr:#x} "
-                f"but its L1 does not hold it"
-            )
-        host.stats.writebacks += 1
-        if obs is not None and obs.wants_coherence:
-            obs.emit(Writeback(now, owner, line_addr, "downgrade"))
-        entry.clear_owner()
-        self.counts["Fwd"] += 1
-        if obs is not None and obs.wants_protocol:
-            obs.emit(Fwd(now, owner, line_addr, True))
-
-    def _write_hit(self, core: int, slot: int, line_addr: int, line,
-                   now: int) -> AccessResult:
-        host = self.host
-        if line.state == MSI_M:
-            line.last_use = now
-            host.stats.l1_hits += 1
-            obs = host.obs
-            if obs is not None and obs.wants_cache:
-                obs.emit(CacheHit(now, core, slot, line_addr, "L1",
-                                  "write"))
-            return host._hit_l1
-        return self._upgrade(core, slot, line_addr, line, now)
-
-    def expected_l1_states(self, entry, core: int) -> Tuple[int, ...]:
-        return (MSI_M,) if entry.owner == core else (MSI_S,)
-
-
-@register_protocol
-class MesiProtocol(MsiProtocol):
-    """MESI: clean-exclusive fills, silent E -> M upgrades.
-
-    The E state is represented in the directory as an owner (sole
-    copy); whether the owner's data is clean or dirty is read off the
-    owner's actual L1 line state when a forward is needed.
-    """
-
-    name = "mesi"
-    TRANSITIONS = MsiProtocol.TRANSITIONS | frozenset((
-        ("I", "E"),   # GetS fill with no other holder
-        ("E", "M"),   # silent upgrade — no directory traffic
-        ("E", "S"),   # Fwd: remote read, clean downgrade (no writeback)
-        ("E", "I"),   # Inv / eviction (clean, no writeback)
-    ))
-
-    def _fill_state_for_read(self, entry, core: int) -> int:
-        if entry.owner is None and not entry.sharers:
-            return MESI_E
-        return MSI_S
-
-    def _grant_read(self, entry, core: int, state: int) -> None:
-        if state == MESI_E:
-            entry.set_owner(core)
-        else:
-            entry.add_sharer(core)
-
-    def _forward_for_read(self, entry, core: int, line_addr: int,
-                          now: int) -> None:
+        # Forward + downgrade the owner to S, writing the data back to
+        # the L2 if it is dirty (M; a MESI E owner is clean).
+        # Reservations survive a remote *read*; only writes kill them.
         host = self.host
         obs = host.obs
         owner = entry.owner
@@ -532,6 +482,38 @@ class MesiProtocol(MsiProtocol):
 
     def _write_hit(self, core: int, slot: int, line_addr: int, line,
                    now: int) -> AccessResult:
+        # S -> M; obtain_modified has already resolved an M line.
+        return self._upgrade(core, slot, line_addr, line, now)
+
+
+@register_protocol
+class MesiProtocol(MsiProtocol):
+    """MESI: clean-exclusive fills, silent E -> M upgrades.
+
+    The E state is represented in the directory as an owner (sole
+    copy); whether the owner's data is clean or dirty is read off the
+    owner's actual L1 line state when a forward is needed.
+    """
+
+    name = "mesi"
+    TRANSITIONS = MsiProtocol.TRANSITIONS | frozenset((
+        ("I", "E"),   # GetS fill with no other holder
+        ("E", "M"),   # silent upgrade — no directory traffic
+        ("E", "S"),   # Fwd: remote read, clean downgrade (no writeback)
+        ("E", "I"),   # Inv / eviction (clean, no writeback)
+    ))
+
+    def _fill_state_for_read(self, entry, core: int) -> int:
+        return MSI_S if entry.sharers else MESI_E
+
+    def _grant_read(self, entry, core: int, state: int) -> None:
+        if state == MESI_E:
+            entry.set_owner(core)
+        else:
+            entry.add_sharer(core)
+
+    def _write_hit(self, core: int, slot: int, line_addr: int, line,
+                   now: int) -> AccessResult:
         if line.state == MESI_E:
             # The whole point of MESI: sole clean copy goes M with no
             # directory round-trip; the directory already records this
@@ -549,12 +531,7 @@ class MesiProtocol(MsiProtocol):
                 if obs.wants_protocol:
                     obs.emit(SilentUpgrade(now, core, slot, line_addr))
             return host._hit_l1
-        return super()._write_hit(core, slot, line_addr, line, now)
-
-    def expected_l1_states(self, entry, core: int) -> Tuple[int, ...]:
-        if entry.owner == core:
-            return (MSI_M, MESI_E)
-        return (MSI_S,)
+        return self._upgrade(core, slot, line_addr, line, now)
 
 
 @register_protocol
@@ -605,19 +582,3 @@ class MoesiProtocol(MesiProtocol):
             entry.set_owner(core)
         else:
             entry.add_sharer(core, shared_owner_ok=True)
-
-    def expected_l1_states(self, entry, core: int) -> Tuple[int, ...]:
-        if entry.owner == core:
-            return (MSI_M, MESI_E, MOESI_O)
-        return (MSI_S,)
-
-    def check_entry(self, entry) -> None:
-        entry.check(shared_owner_ok=True)
-
-
-def describe_transitions(cls: Type[CoherenceProtocol]) -> str:
-    """Human-readable transition table (for docs and debugging)."""
-    lines = [f"{cls.name}: states {', '.join(cls.states())}"]
-    for source, dest in sorted(cls.TRANSITIONS):
-        lines.append(f"  {source} -> {dest}")
-    return "\n".join(lines)

@@ -75,14 +75,6 @@ class TestStateTransitions:
         assert cache.lookup(0) is None
         assert cache.invalidate(0) is None
 
-    def test_downgrade(self, cache):
-        cache.install(0, MSI_M, now=1)
-        line = cache.downgrade(0)
-        assert line.state == MSI_S
-
-    def test_downgrade_missing_line(self, cache):
-        assert cache.downgrade(0) is None
-
 
 class TestGlscEntry:
     def test_clear_glsc(self):

@@ -12,7 +12,7 @@ from repro.mem.coherence import (
     LEVEL_MEM,
     LEVEL_REMOTE,
 )
-from repro.mem.messages import Inv
+from repro.mem.messages import Inv, Upgrade
 from repro.obs.bus import EventBus, Sink
 from repro.obs.events import Invalidation, ReservationLost
 from repro.sim.config import MachineConfig
@@ -93,7 +93,7 @@ class TestReadPath:
         line = sys_.l1s[0].lookup(sys_.geometry.line_addr(ADDR))
         assert line.state == MSI_S
         entry = sys_.l2.lookup(sys_.geometry.line_addr(ADDR))
-        assert entry.owner is None and entry.sharers == {0, 1}
+        assert entry.owner is None and entry.sharers == 0b11
         assert stats.writebacks == 1
 
 
@@ -364,6 +364,30 @@ class TestInclusionAndBackInvalidation:
         assert self._invalidation_events(sink, since) == self._expected(
             line, 2, "remote_write", "thread_conflict", (2, 1)
         )
+        sys_.check_invariants()
+
+    @pytest.mark.parametrize("protocol", ["msi", "mesi", "moesi"])
+    def test_upgrade_event_contract(self, protocol):
+        """An S -> M upgrade invalidates the other sharers in ascending
+        core order, though they joined the line in descending order."""
+        sink = Collect()
+        bus = EventBus()
+        bus.attach(sink)
+        sys_, _, _ = make_system(obs=bus, n_cores=4, protocol=protocol)
+        sys_.read(0, 0, ADDR, now=0)
+        for core in (3, 2, 1):
+            sys_.read(core, 0, ADDR, now=10 * (4 - core))
+        line = sys_.geometry.line_addr(ADDR)
+        assert sys_.l1s[0].lookup(line).state == MSI_S
+        since = len(sink.events)
+        sys_.write(0, 0, ADDR, now=100)
+        assert any(type(e) is Upgrade for e in sink.events[since:])
+        assert self._invalidation_events(sink, since) == [
+            event
+            for core in (1, 2, 3)
+            for event in (Invalidation(100, core, line, "remote_write"),
+                          Inv(100, core, line, "remote_write"))
+        ]
         sys_.check_invariants()
 
 

@@ -23,7 +23,6 @@ from repro.mem.protocol import (
     MesiProtocol,
     MoesiProtocol,
     MsiProtocol,
-    describe_transitions,
     make_protocol,
     protocol_names,
     register_protocol,
@@ -126,12 +125,6 @@ class TestTransitionTables:
         assert MesiProtocol.dirty_states == {MSI_M}
         assert MoesiProtocol.dirty_states == {MSI_M, MOESI_O}
 
-    def test_describe_transitions_renders_every_edge(self):
-        text = describe_transitions(MoesiProtocol)
-        assert text.startswith("moesi: states E, I, M, O, S")
-        assert "  M -> O" in text
-        assert text.count("->") == len(MoesiProtocol.TRANSITIONS)
-
 
 class TestMesiBehaviour:
     def test_sole_reader_fills_exclusive(self):
@@ -148,7 +141,7 @@ class TestMesiBehaviour:
         assert line_of(sys_, 0).state == MSI_S
         assert line_of(sys_, 1).state == MSI_S
         entry = entry_of(sys_)
-        assert entry.owner is None and entry.sharers == {0, 1}
+        assert entry.owner is None and entry.sharers == 0b11
         # The forwarded line was clean: no writeback, unlike MSI's
         # unconditional one.
         assert stats.writebacks == 0
@@ -198,7 +191,7 @@ class TestMoesiBehaviour:
         entry = entry_of(sys_)
         # MOESI's point: the owner keeps the dirty data, the requester
         # joins the sharers, and nothing is written back yet.
-        assert entry.owner == 0 and entry.sharers == {0, 1}
+        assert entry.owner == 0 and entry.sharers == 0b11
         assert stats.writebacks == 0
         sys_.check_invariants()
 

@@ -41,7 +41,7 @@ def snapshot(coherence: CoherenceSystem):
         l1_state[core_id] = lines
     l2_state = {
         entry.line_addr: (
-            sorted(entry.sharers), entry.owner, entry.last_use
+            entry.sharers, entry.owner, entry.last_use
         )
         for entry in coherence.l2.entries()
     }
