@@ -17,7 +17,7 @@ simulated outcome is whatever the modeled hardware allows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Union
+from typing import Iterable, Iterator, List, Optional, Sequence, Union
 
 from repro.errors import AllocationError, MemoryError_
 from repro.mem.layout import WORD_BYTES, LineGeometry, RegionMap
@@ -32,14 +32,14 @@ class ImageSnapshot:
     """Frozen post-``allocate`` state of a :class:`MemoryImage`.
 
     Produced by :meth:`MemoryImage.snapshot`, consumed by
-    :meth:`MemoryImage.from_snapshot`.  ``words`` and ``regions`` are
-    shared by reference — treat them as read-only (hydrated images copy
-    both).
+    :meth:`MemoryImage.from_snapshot`.  ``words`` is the snapshot's
+    own copy of the image's words; ``regions`` is shared with the
+    image.  Treat both as read-only (hydrated images copy both).
     """
 
     size_bytes: int
     geometry: LineGeometry
-    words: Dict[int, Number]
+    words: List[Number]
     brk: int
     regions: RegionMap
 
@@ -60,9 +60,11 @@ class MemoryImage:
         self.geometry = geometry or LineGeometry()
         self.size_bytes = size_bytes
         self._n_words = size_bytes // WORD_BYTES
-        # Sparse storage: unwritten words read as zero.  A 16MB image
-        # would otherwise cost a 4M-entry list per machine.
-        self._words: Dict[int, Number] = {}
+        # Dense storage of word indices [0, len(_words)), which covers
+        # every allocated word (allocation is a bump from address 0).
+        # Words past the end read as zero, and a store past it grows
+        # the list; a 16MB image never costs a 4M-entry list up front.
+        self._words: List[Number] = []
         # Leave address 0 unallocated so it can serve as a null sentinel.
         self._brk = self.geometry.line_bytes
         # Named-allocation symbolization (diagnostics only; the
@@ -101,6 +103,10 @@ class MemoryImage:
                 f"have {self.size_bytes}"
             )
         self._brk = end
+        # Cover the new range with zero words, so that initializing or
+        # running over allocated memory never takes the growth path.
+        words = self._words
+        words.extend([0] * (-(-end // WORD_BYTES) - len(words)))
         if name:
             self.regions.add(name, base, nbytes)
         return base
@@ -148,15 +154,15 @@ class MemoryImage:
         """An immutable copy of this image's contents and allocator state.
 
         The batched backend allocates a kernel's data once into a
-        template image, snapshots it, and hydrates one private image
-        per machine from the snapshot — a single bulk dict copy instead
-        of re-running every ``store_word`` of ``allocate``.  Treat the
+        template image and hydrates each machine's private image from
+        a snapshot of it — a single bulk list copy instead of
+        re-running every ``store_word`` of ``allocate``.  Treat the
         snapshot as frozen: hydrated images copy it before mutating.
         """
         return ImageSnapshot(
             size_bytes=self.size_bytes,
             geometry=self.geometry,
-            words=dict(self._words),
+            words=list(self._words),
             brk=self._brk,
             regions=self.regions,
         )
@@ -170,7 +176,7 @@ class MemoryImage:
         running grows its own machine's region map.
         """
         image = cls(snap.size_bytes, snap.geometry)
-        image._words = dict(snap.words)
+        image._words = list(snap.words)
         image._brk = snap.brk
         image.regions = snap.regions.copy()
         return image
@@ -200,7 +206,10 @@ class MemoryImage:
                 f"address {addr:#x} beyond simulated memory "
                 f"({self.size_bytes} bytes)"
             )
-        return self._words.get(index, 0)
+        try:
+            return self._words[index]
+        except IndexError:
+            return 0
 
     def store_word(self, addr: int, value: Number) -> None:
         """Write the 32-bit word at byte address ``addr``."""
@@ -212,7 +221,12 @@ class MemoryImage:
                 f"address {addr:#x} beyond simulated memory "
                 f"({self.size_bytes} bytes)"
             )
-        self._words[index] = value
+        try:
+            self._words[index] = value
+        except IndexError:
+            words = self._words
+            words.extend([0] * (index - len(words)))
+            words.append(value)
 
     def load_words(self, addr: int, count: int) -> List[Number]:
         """Read ``count`` consecutive words starting at ``addr``."""
@@ -221,8 +235,10 @@ class MemoryImage:
             raise MemoryError_(
                 f"range [{addr:#x}, +{count} words) beyond simulated memory"
             )
-        words = self._words
-        return [words.get(i, 0) for i in range(start, start + count)]
+        words = self._words[start:start + count]
+        if len(words) < count:
+            words.extend([0] * (count - len(words)))
+        return words
 
 
 class ArrayView:

@@ -48,6 +48,7 @@ category, emits the actual message dataclasses on the bus.
 
 from __future__ import annotations
 
+import weakref
 from typing import Dict, NamedTuple, Optional, Tuple, Type
 
 from repro.errors import ConfigError, SimulationError
@@ -149,7 +150,12 @@ class CoherenceProtocol:
     TRANSITIONS: frozenset = frozenset()
 
     def __init__(self, host) -> None:
-        self.host = host
+        # ``host`` (the CoherenceSystem) owns this policy, so the
+        # back-reference is weak: the pair forms no reference cycle,
+        # and a finished machine's caches and directory are freed by
+        # reference counting even while the cyclic GC is paused.  A
+        # policy built without a host still checks invariants.
+        self.host = weakref.ref(host) if host is not None else None
         #: Always-on per-kind message tally (see MSG_KINDS).
         self.counts: Dict[str, int] = {kind: 0 for kind in MSG_KINDS}
 
@@ -207,7 +213,7 @@ class CoherenceProtocol:
         miss, reads DRAM.  Returns ``(entry, l2_hit, dram_latency)``;
         ``dram_latency`` is 0 on a hit.
         """
-        host = self.host
+        host = self.host()
         stats = host.stats
         entry, l2_hit, l2_victim = host.l2.fetch(line_addr, now)
         stats.l2_accesses += 1
@@ -224,7 +230,7 @@ class CoherenceProtocol:
         self, core: int, slot: int, line_addr: int, now: int, victim_ok
     ) -> Optional[AccessResult]:
         """Service a GetS; returns None if the install was refused."""
-        host = self.host
+        host = self.host()
         cfg = host.config
         obs = host.obs
         wants_cache = obs is not None and obs.wants_cache
@@ -280,7 +286,7 @@ class CoherenceProtocol:
         here without the ``_write_hit`` hook call.  A protocol whose M
         state is not "already exclusive dirty" must override this.
         """
-        host = self.host
+        host = self.host()
         line = host._l1_lookups[core](line_addr)
         if line is not None:
             if line.state == MSI_M:
@@ -302,7 +308,7 @@ class CoherenceProtocol:
         Not counted as an L1 hit or miss by the stats, so no L1
         hit/miss event is emitted either.
         """
-        host = self.host
+        host = self.host()
         cfg = host.config
         obs = host.obs
         self.counts["Upgrade"] += 1
@@ -339,7 +345,7 @@ class CoherenceProtocol:
         self, core: int, slot: int, line_addr: int, now: int
     ) -> AccessResult:
         """Service a GetM (write miss: read-for-ownership)."""
-        host = self.host
+        host = self.host()
         cfg = host.config
         obs = host.obs
         wants_cache = obs is not None and obs.wants_cache
@@ -386,7 +392,7 @@ class CoherenceProtocol:
 
     def prefetch_fill(self, core: int, line_addr: int, now: int) -> None:
         """Install a prefetched line with no thread-visible latency."""
-        host = self.host
+        host = self.host()
         obs = host.obs
         entry, _, _ = self._fetch_l2(core, -1, line_addr, now)
         if entry.owner is not None and entry.owner != core:
@@ -460,7 +466,7 @@ class MsiProtocol(CoherenceProtocol):
         # Forward + downgrade the owner to S, writing the data back to
         # the L2 if it is dirty (M; a MESI E owner is clean).
         # Reservations survive a remote *read*; only writes kill them.
-        host = self.host
+        host = self.host()
         obs = host.obs
         owner = entry.owner
         line = host.l1s[owner].lookup(line_addr)
@@ -518,7 +524,7 @@ class MesiProtocol(MsiProtocol):
             # The whole point of MESI: sole clean copy goes M with no
             # directory round-trip; the directory already records this
             # core as owner, so nothing moves.  Costs an L1 hit.
-            host = self.host
+            host = self.host()
             obs = host.obs
             line.state = MSI_M
             line.last_use = now
@@ -556,7 +562,7 @@ class MoesiProtocol(MesiProtocol):
 
     def _forward_for_read(self, entry, core: int, line_addr: int,
                           now: int) -> None:
-        host = self.host
+        host = self.host()
         obs = host.obs
         owner = entry.owner
         line = host.l1s[owner].lookup(line_addr)

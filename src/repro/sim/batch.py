@@ -1,24 +1,21 @@
-"""Batched simulation backend: many machines, one event heap.
+"""Batched simulation backend: many specs, one process, one live machine.
 
 A bench grid is dozens of near-identical, fully independent machines.
-Simulating them one at a time pays three avoidable costs: every spec
+Simulating each through :func:`~repro.sim.executor.execute_spec`
 re-generates its dataset, re-allocates (word by word) its memory
-image, and spins up a fresh Python event loop whose dispatch state
-goes cold between runs.  :class:`BatchRunner` simulates N specs in one
-process by
+image and re-validates its program.  :class:`BatchRunner` simulates N
+specs in one process and pays each of those costs once per batch by
+**interning immutable inputs**: datasets are built once per batch
+(:func:`~repro.workloads.interning.intern_datasets`), each distinct
+(kernel, dataset, thread count, geometry) combination is allocated
+once into a template image that one bulk list copy hydrates per
+machine (:class:`ImageCache`), and program objects are validated once
+per combination (:class:`ProgramCache`).
 
-* **interning immutable inputs** — datasets are built once per batch
-  (:func:`~repro.workloads.interning.intern_datasets`), and each
-  distinct (kernel, dataset, thread count, geometry) combination is
-  allocated once into a template image whose snapshot hydrates one
-  private copy per machine (:class:`ImageCache`, one bulk dict copy
-  instead of thousands of ``store_word`` calls); program objects are
-  validated once per combination (:class:`ProgramCache`);
-* **interleaving all live machines** on one event heap keyed
-  ``(next cycle, machine_id)``, so a single Python loop drains the
-  whole batch and the per-iteration bookkeeping of
-  :meth:`~repro.sim.machine.Machine.batch_step` stays hot across
-  machines.
+The machines themselves run **one at a time**, in input order: each is
+built, run from cycle 0 to completion, verified and released before
+the next is built, so a batch holds one machine's caches, directory
+and memory image at a time, and each spec's wall is measured.
 
 This is the only unobserved simulation path: the executor (in-process
 or one group per pool task) and the queue worker both run every fresh
@@ -27,8 +24,7 @@ spec here, a lone spec as a batch of one.
 Machines in a batch share *nothing* mutable: each gets its own
 hydrated image and region map, its own rebound kernel (views *and*
 image references retargeted, so lazy allocations land in its own
-image), its own coherence system.  The interleave order across
-machines is therefore unobservable, and every batched result is
+image), its own coherence system.  Every batched result is therefore
 **bitwise identical** (cycles + stats digest) to the reference
 :func:`~repro.sim.executor.execute_spec` — ``tests/bench/
 test_equivalence.py`` pins all 84 grid points through this runner, and
@@ -37,8 +33,7 @@ Section 5.2 microbenchmark specs included, against it.
 
 Observed runs (event-bus sinks) never come here: the
 executor runs them one at a time through ``execute_spec``, so the
-zero-allocation guard holds and contention/phase attribution never
-mixes machines.
+zero-allocation guard holds.
 """
 
 from __future__ import annotations
@@ -46,11 +41,10 @@ from __future__ import annotations
 import gc
 import time
 from dataclasses import dataclass
-from heapq import heapify, heappop, heappush
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.isa.program import check_program
-from repro.mem.image import ImageSnapshot, MemoryImage
+from repro.mem.image import MemoryImage
 from repro.sim.machine import Machine
 from repro.sim.stats import MachineStats
 from repro.workloads.interning import intern_datasets
@@ -77,17 +71,18 @@ def _intern_key(spec: "RunSpec", config) -> Tuple[Any, ...]:
 
 
 class ImageCache:
-    """Batch-scoped cache of allocated kernels and image snapshots.
+    """Batch-scoped cache of allocated template kernels and images.
 
-    One entry per :func:`_intern_key`: the template kernel (allocated
-    into a pristine template image that is never run) and the image
-    snapshot.  :meth:`materialize` hands out a private hydrated image
-    plus a kernel rebound onto it — the copy-on-write boundary is the
-    word dict, copied once per machine.
+    One entry per :func:`_intern_key`: the kernel and the template
+    image it was allocated into, which is never run.  The template is
+    the entry's only copy of the words (the kernel's views keep it
+    alive anyway); :meth:`materialize` hydrates each machine's private
+    image from a snapshot of it that lives only for that copy, and
+    rebinds the kernel onto the new image.
     """
 
     def __init__(self) -> None:
-        self._entries: Dict[Tuple[Any, ...], Tuple[Any, ImageSnapshot]] = {}
+        self._entries: Dict[Tuple[Any, ...], Tuple[Any, MemoryImage]] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -102,10 +97,9 @@ class ImageCache:
             kernel = _make_spec_kernel(spec, config.n_threads)
             template = MemoryImage(config.mem_size_bytes, config.geometry)
             kernel.allocate(template)
-            entry = (kernel, template.snapshot())
-            self._entries[key] = entry
-        template_kernel, snap = entry
-        image = MemoryImage.from_snapshot(snap)
+            entry = self._entries[key] = (kernel, template)
+        template_kernel, template = entry
+        image = MemoryImage.from_snapshot(template.snapshot())
         return template_kernel.rebound(image), image
 
 
@@ -135,44 +129,27 @@ class BatchResult:
 
     spec: "RunSpec"
     stats: MachineStats
-    #: Estimated wall seconds attributable to this spec: the batch's
-    #: simulation wall shared out proportionally to retired cycles
-    #: (individual specs are interleaved, so their walls are not
-    #: separately measurable), plus this spec's own setup/verify time.
+    #: Measured wall seconds of this spec alone: its machine's set-up
+    #: (image hydration, program attach, cache warming, plus the
+    #: dataset and template image if this spec is the batch's first to
+    #: need them), simulation and verification.
     wall_s: float = 0.0
 
 
 class BatchRunner:
-    """Simulate many independent specs through one interleaved loop.
+    """Simulate many independent specs in one process, one at a time.
 
     ``specs`` may mix kernels, datasets, topologies, widths, variants,
     protocols, and warm/cold — each entry gets its own machine.  The
     caller (normally the executor) deduplicates; duplicate specs here
     would each simulate.
-
-    ``chunk_cycles`` is the scheduling quantum: each heap pop runs one
-    machine for up to that many simulated cycles before it rejoins the
-    heap.  Machines never observe each other, so the quantum sets only
-    the cross-machine interleave granularity (and the heap's overhead
-    share), never any result — the determinism tests sweep it.
     """
 
-    #: Default scheduling quantum.  Grid machines retire ~1e5 cycles,
-    #: so this keeps the global heap to a few dozen ops per machine
-    #: while still rotating the batch often enough that progress (and
-    #: a hung machine's max_cycles abort) stays interleaved.
-    CHUNK_CYCLES = 1 << 14
-
-    def __init__(
-        self,
-        specs: Sequence["RunSpec"],
-        verify: bool = True,
-        chunk_cycles: Optional[int] = None,
-    ) -> None:
+    def __init__(self, specs: Sequence["RunSpec"], verify: bool = True) -> None:
         self.specs = list(specs)
         self.verify = verify
-        self.chunk_cycles = chunk_cycles or self.CHUNK_CYCLES
-        #: Filled by :meth:`run`: batch occupancy + timing facts.
+        #: Filled by :meth:`run`: batch occupancy + timing facts, the
+        #: ``*_s`` phases summed over the specs.
         self.info: Dict[str, Any] = {}
 
     def run(self) -> List[BatchResult]:
@@ -185,9 +162,10 @@ class BatchRunner:
         """
         from repro.sim.runner import verify_run
 
-        # The simulation loop allocates heavily but creates no cycles
-        # that must die mid-batch; pausing the cyclic GC removes its
-        # periodic full-heap scans (a measured ~7% of batch wall).
+        # The simulation loop allocates heavily but creates no cycles:
+        # each machine is freed by reference counting once its spec is
+        # done.  Pausing the cyclic GC removes its periodic full-heap
+        # scans (a measured ~7% of batch wall).
         gc_was_enabled = gc.isenabled()
         if gc_was_enabled:
             gc.disable()
@@ -201,69 +179,50 @@ class BatchRunner:
         began = time.perf_counter()
         images = ImageCache()
         programs = ProgramCache()
-        machines: List[Machine] = []
-        kernels = []
+        info = self.info = {
+            "occupancy": len(self.specs),
+            "setup_s": 0.0,
+            "sim_s": 0.0,
+            "verify_s": 0.0,
+        }
         with intern_datasets():
-            for spec in self.specs:
-                config = spec.config()
-                kernel, image = images.materialize(spec, config)
-                machine = Machine(config, image=image)
-                program = programs.program(
-                    kernel, _intern_key(spec, config), spec.variant
-                )
-                for _ in range(config.n_threads):
-                    machine.add_program(program, check=False)
-                if spec.warm:
-                    machine.warm_caches()
-                machines.append(machine)
-                kernels.append(kernel)
-        setup_s = time.perf_counter() - began
+            results = [
+                self._run_one(spec, images, programs, verify_run)
+                for spec in self.specs
+            ]
+        info["interned_images"] = len(images)
+        info["wall_s"] = time.perf_counter() - began
+        return results
 
-        # -- the event heap -------------------------------------------
-        # One entry per live machine: (cycle, machine_id).  Each pop
-        # runs that machine's own loop from its next cycle up to a
-        # chunk horizon; per-machine cycle sequences (and hence stats)
-        # are identical to Machine.run's single step.
+    def _run_one(
+        self, spec: "RunSpec", images: ImageCache, programs: ProgramCache,
+        verify_run,
+    ) -> BatchResult:
+        """Build, run and verify one spec's machine.
+
+        The machine is local to this call, so it is released when the
+        call returns, before the next spec's machine is built.
+        """
+        began = time.perf_counter()
+        config = spec.config()
+        kernel, image = images.materialize(spec, config)
+        machine = Machine(config, image=image)
+        program = programs.program(
+            kernel, _intern_key(spec, config), spec.variant
+        )
+        for _ in range(config.n_threads):
+            machine.add_program(program, check=False)
+        if spec.warm:
+            machine.warm_caches()
+        machine.batch_begin()
         sim_began = time.perf_counter()
-        chunk = self.chunk_cycles
-        heap = [
-            (machine.batch_begin(), machine_id)
-            for machine_id, machine in enumerate(machines)
-        ]
-        heapify(heap)
-        while heap:
-            cycle, machine_id = heappop(heap)
-            nxt = machines[machine_id].batch_step(cycle, cycle + chunk)
-            if nxt is not None:
-                heappush(heap, (nxt, machine_id))
-        sim_s = time.perf_counter() - sim_began
-
+        stats = machine.batch_finish()
         verify_began = time.perf_counter()
         if self.verify:
-            for kernel, machine in zip(kernels, machines):
-                verify_run(kernel, machine)
-        verify_s = time.perf_counter() - verify_began
-
-        total_cycles = sum(m.stats.cycles for m in machines) or 1
-        overhead_each = (setup_s + verify_s) / len(machines) if machines else 0.0
-        results = [
-            BatchResult(
-                spec=spec,
-                stats=machine.stats,
-                wall_s=(
-                    sim_s * machine.stats.cycles / total_cycles
-                    + overhead_each
-                ),
-            )
-            for spec, machine in zip(self.specs, machines)
-        ]
-        self.info = {
-            "occupancy": len(self.specs),
-            "interned_images": len(images),
-            "setup_s": setup_s,
-            "sim_s": sim_s,
-            "verify_s": verify_s,
-            "wall_s": time.perf_counter() - began,
-            "cycles": sum(m.stats.cycles for m in machines),
-        }
-        return results
+            verify_run(kernel, machine)
+        ended = time.perf_counter()
+        info = self.info
+        info["setup_s"] += sim_began - began
+        info["sim_s"] += verify_began - sim_began
+        info["verify_s"] += ended - verify_began
+        return BatchResult(spec, stats, wall_s=ended - began)

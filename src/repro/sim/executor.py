@@ -368,15 +368,15 @@ class Executor:
 
     Fresh specs are packed into groups of at most ``batch_size``, and
     each group runs through one :class:`~repro.sim.batch.BatchRunner`
-    (shared interned inputs, one merged event heap).  ``jobs=1`` (the
+    (shared interned inputs, one live machine at a time).  ``jobs=1`` (the
     default) runs the groups in-process; ``jobs>1`` runs one group per
     ``ProcessPoolExecutor`` task, cutting groups small enough to keep
     every worker busy.  Results are memoized in-memory for the
     executor's lifetime and, when a ``store`` is given, persisted on
     disk keyed by :meth:`RunSpec.digest`.  Every fresh result is
     telemetry-tagged ``source="simulated"``; its batch id and occupancy
-    record the packing, and its ``wall_time_s`` is the runner's
-    cycle-proportional share of the batch wall.
+    record the packing, and its ``wall_time_s`` is the spec's own
+    measured set-up + simulation + verify wall.
 
     ``overrides`` are executor-level :class:`MachineConfig` defaults
     applied to every spec (a spec's own overrides win on conflict) —

@@ -18,10 +18,11 @@ cycle.  None of this changes observable timing: cycle counts and stats
 are bit-identical to the reference loop
 (``tests/bench/test_equivalence.py`` holds the golden values).
 
-The loop is written once, in :meth:`Machine.batch_step`, with one
-single-core specialisation.  :meth:`Machine.run` is a single step to
-``max_cycles``; the batched backend (:mod:`repro.sim.batch`) calls the
-same step in chunks to interleave many machines on one heap.
+The loop is written once, in :meth:`Machine.batch_finish`, and runs
+from cycle 0 to completion.  :meth:`Machine.run` is set-up plus that
+loop; the batched backend (:mod:`repro.sim.batch`) runs the same two
+halves as :meth:`Machine.batch_begin` and :meth:`Machine.batch_finish`,
+one machine at a time.
 
 Barriers are resolved here: a thread executing a ``barrier``
 instruction parks until every live thread in its group has arrived,
@@ -160,70 +161,46 @@ class Machine:
     # -- main loop ----------------------------------------------------------
 
     def run(self) -> MachineStats:
-        """Run all programs to completion; returns the machine stats.
+        """Run all programs to completion; returns the machine stats."""
+        self._begin()
+        return self.batch_finish()
 
-        A solo run is one :meth:`batch_step` whose horizon is
-        ``max_cycles``: the livelock guard fires before the horizon
-        can, so the step only returns once every thread has finished.
+    def batch_begin(self) -> None:
+        """:meth:`run`'s set-up, as the batched backend calls it.
+
+        :mod:`repro.sim.batch` runs a machine as ``batch_begin()`` then
+        :meth:`batch_finish` rather than through :meth:`run`, so a
+        profiler wrapping :meth:`run` times solo runs only.
         """
         self._begin()
-        self.batch_step(0, self.config.max_cycles)
-        return self.stats
-
-    def batch_begin(self) -> int:
-        """Prepare this machine for externally driven iteration.
-
-        The batched backend (:mod:`repro.sim.batch`) drains many
-        machines through one interleaved event heap; instead of
-        :meth:`run` owning the loop, the driver calls
-        :meth:`batch_step` once per chunk at the cycle this method
-        (and then each step) hands back.  Returns the cycle of the
-        first iteration (always 0, as in :meth:`run`).
-        """
-        self._begin()
-        return 0
 
     def _begin(self) -> None:
-        """Set up the loop state :meth:`batch_step` resumes from."""
         if self._ran:
             raise SimulationError("a Machine can only be run once")
         self._ran = True
         if not self.threads:
             raise SimulationError("no programs attached")
-        self._b_live = len(self.threads)
+
+    def batch_finish(self) -> MachineStats:
+        """Run the cycle loop from cycle 0 until every thread finishes.
+
+        This is the machine's only cycle loop; it follows
+        :meth:`batch_begin` (or :meth:`run`'s own set-up).  The
+        livelock guard raises once the clock passes ``max_cycles``.
+        """
+        cores = self.cores
+        max_cycles = self.config.max_cycles
+        live = len(self.threads)
         # Cores report thread lifecycle changes into these shared lists
         # so the loop never rescans all threads.
         done_events: List[HwThread] = []
         barrier_arrivals: List[HwThread] = []
-        self._b_done_events = done_events
-        self._b_barrier_arrivals = barrier_arrivals
-        self._b_barrier_waiters: List[HwThread] = []
-        for core in self.cores:
+        barrier_waiters: List[HwThread] = []
+        for core in cores:
             core.done_events = done_events
             core.barrier_arrivals = barrier_arrivals
             core._next_ready = core.next_ready_cycle()
-        self._b_it = 0
-
-    def batch_step(self, cycle: int, horizon: int) -> Optional[int]:
-        """Execute loop iterations from ``cycle`` up through ``horizon``.
-
-        This is the machine's only cycle loop.  It runs until the next
-        iteration's cycle exceeds ``horizon``, then returns that cycle
-        so the batch driver can re-queue this machine; it returns
-        ``None`` when every thread has finished (``stats.cycles`` is
-        final).  Because a machine's cycle sequence never depends on
-        other machines, the horizon only sets the cross-machine
-        interleave granularity, not any result.  Loop state lives in
-        locals within a chunk and is saved back to ``_b_*`` attributes
-        only at chunk boundaries.
-        """
-        cores = self.cores
-        max_cycles = self.config.max_cycles
-        live = self._b_live
-        done_events = self._b_done_events
-        barrier_arrivals = self._b_barrier_arrivals
-        barrier_waiters = self._b_barrier_waiters
-        it = self._b_it
+        cycle = it = 0
         while True:
             # Tick every core with a thread runnable at `cycle`, in
             # core-id order (shared L2-bank/directory state makes the
@@ -269,16 +246,11 @@ class Machine:
                     f"exceeded max_cycles={max_cycles}; likely livelock"
                 )
             if not live:
-                self._b_live = 0
                 self.stats.cycles = max(
                     t.stats.finish_cycle for t in self.threads
                 )
-                return None
+                return self.stats
             it += 1
-            if cycle > horizon:
-                self._b_live = live
-                self._b_it = it
-                return cycle
 
     # -- internals --------------------------------------------------------------
 

@@ -88,9 +88,9 @@ def test_smoke_grid_matches_golden():
 def test_smoke_grid_matches_golden_batched():
     """Tier-1: the smoke grid through BatchRunner hits the same goldens.
 
-    The batched backend shares interned inputs and interleaves all
-    machines on one event heap; this pins that none of it is
-    observable in the results.
+    The batched backend shares interned inputs across machines run
+    one after another; this pins that none of it is observable in
+    the results.
     """
     check_grid(BenchSuite.smoke(), "golden_smoke.json", runner=batch_stats)
 

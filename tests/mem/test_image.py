@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.errors import AllocationError, MemoryError_
+from repro.errors import AlignmentError, AllocationError, MemoryError_
 from repro.mem.image import MemoryImage
 
 
@@ -108,3 +108,55 @@ class TestAllocatorProperties:
         regions.sort()
         for (_, end_a), (start_b, _) in zip(regions, regions[1:]):
             assert end_a <= start_b
+
+
+class TestDenseWords:
+    """Words are a dense list over [0, extent): past it, reads are 0."""
+
+    def test_read_past_extent_is_zero(self, image):
+        view = image.alloc_array([7, 8])
+        end = view.base + 2 * 4
+        assert image.load_word(end) == 0
+        assert image.load_word(image.size_bytes - 4) == 0
+
+    def test_store_past_extent_reads_back(self, image):
+        view = image.alloc_array([7])
+        far = view.base + 64 * 4
+        image.store_word(far, 5)
+        assert image.load_word(far) == 5
+        assert image.load_word(view.base) == 7
+        assert image.load_words(view.base + 4, 63) == [0] * 63
+        assert image.load_word(far + 4) == 0
+
+    def test_load_words_across_extent_pads_zeros(self, image):
+        view = image.alloc_array([1, 2, 3])
+        assert image.load_words(view.base + 4, 5) == [2, 3, 0, 0, 0]
+        assert image.load_words(image.size_bytes - 8, 2) == [0, 0]
+
+    @pytest.mark.parametrize("access", [
+        lambda image, addr: image.load_word(addr),
+        lambda image, addr: image.store_word(addr, 1),
+        lambda image, addr: image.load_words(addr, 1),
+    ])
+    def test_bad_addresses_raise(self, image, access):
+        image.alloc_array([1, 2])
+        for addr in (2, 66, -4):
+            with pytest.raises(AlignmentError):
+                access(image, addr)
+        for addr in (image.size_bytes, image.size_bytes + 4):
+            with pytest.raises(MemoryError_):
+                access(image, addr)
+
+    def test_snapshot_and_hydrated_images_are_independent(self, image):
+        view = image.alloc_array([1, 2])
+        snap = image.snapshot()
+        a = MemoryImage.from_snapshot(snap)
+        b = MemoryImage.from_snapshot(snap)
+        a.store_word(view.base, 10)
+        b.store_word(view.base + 4, 20)
+        b.store_word(view.base + 256, 30)
+        image.store_word(view.base, 40)
+        assert a.load_words(view.base, 2) == [10, 2]
+        assert b.load_words(view.base, 2) == [1, 20]
+        assert a.load_word(view.base + 256) == 0
+        assert MemoryImage.from_snapshot(snap).load_words(view.base, 2) == [1, 2]

@@ -1,16 +1,18 @@
 """Batched-backend determinism: batching must be unobservable.
 
 The batched backend (:mod:`repro.sim.batch`) shares interned datasets
-and image snapshots across machines and interleaves them all on one
-event heap — three ways a bug could leak one machine's state or
-scheduling into another's results.  These tests pin the contract from
-every angle:
+and template images across machines and runs them one after another
+in one process — ways a bug could leak one machine's state into
+another's results, or keep it alive.  These tests pin the contract
+from every angle:
 
 * property-style: seeded-random subsets of the smoke grid plus the
   Section 5.2 microbenchmark specs, shuffled, mixed across
   protocols/variants/widths, split into batches of sizes including 1,
   are stats-digest-identical to serial :func:`execute_spec`;
-* the scheduling quantum (``chunk_cycles``) is sweep-invariant;
+* the order of specs within a batch is unobservable;
+* each spec's machine is freed before the next one is built, and
+  per-spec walls are measured;
 * the executor's store records are byte-identical to records built
   from :func:`execute_spec` apart from provenance, and its telemetry
   carries the batch tags.
@@ -19,8 +21,10 @@ every angle:
 import hashlib
 import json
 import random
+import weakref
 
 from repro.bench.suite import BenchSuite
+from repro.sim import batch
 from repro.sim.batch import BatchRunner
 from repro.sim.executor import Executor, RunSpec, execute_spec
 from repro.sim.store import ResultStore
@@ -74,16 +78,46 @@ class TestBatchMatchesSerial:
                         f"diverged from serial at batch_size={batch_size}"
                     )
 
-    def test_chunk_cycles_is_unobservable(self):
-        """The cross-machine interleave quantum never changes results."""
+    def test_spec_order_is_unobservable(self):
+        """Reversed and shuffled batches give each spec the same stats."""
         specs = spec_pool()[:5]
-        want = [digest(r.stats) for r in BatchRunner(specs).run()]
-        for chunk in (1, 17, 1 << 20):
-            got = [
-                digest(r.stats)
-                for r in BatchRunner(specs, chunk_cycles=chunk).run()
-            ]
-            assert got == want, f"results moved at chunk_cycles={chunk}"
+        want = {r.spec: digest(r.stats) for r in BatchRunner(specs).run()}
+        shuffled = list(specs)
+        random.Random(7).shuffle(shuffled)
+        for order in (specs[::-1], shuffled):
+            got = {r.spec: digest(r.stats) for r in BatchRunner(order).run()}
+            assert got == want
+
+    def test_spec_walls_are_measured(self):
+        specs = spec_pool()[:4]
+        runner = BatchRunner(specs)
+        results = runner.run()
+        assert all(r.wall_s > 0 for r in results)
+        assert sum(r.wall_s for r in results) <= runner.info["wall_s"]
+
+    def test_one_live_machine(self, monkeypatch):
+        """Spec k-1's machine is freed before spec k's is built.
+
+        ``BatchRunner.run`` pauses the cyclic GC, so this also fails if
+        a reference cycle keeps a finished machine, or its coherence
+        system (caches and directory), alive until the batch ends.
+        """
+        finished = []
+        alive_at_build = []
+
+        class TrackedMachine(batch.Machine):
+            def __init__(self, *args, **kwargs):
+                alive_at_build.append([ref() is not None for ref in finished])
+                super().__init__(*args, **kwargs)
+                finished.append(weakref.ref(self))
+                finished.append(weakref.ref(self.coherence))
+
+        monkeypatch.setattr(batch, "Machine", TrackedMachine)
+        # Smoke points, MESI, MOESI, a warm run and the microbenchmark.
+        pool = spec_pool()
+        specs = pool[:2] + [s for s in pool if s.overrides or s.warm][:4]
+        BatchRunner(specs).run()
+        assert alive_at_build == [[False] * 2 * k for k in range(len(specs))]
 
     def test_batch_of_one_matches_serial(self):
         for spec in (spec_pool()[0], MICRO_SPECS[0]):
