@@ -18,13 +18,12 @@ Use them with ``yield from`` inside a kernel program.
 from __future__ import annotations
 
 import abc
-import copy
 from typing import Callable, List, Sequence, Tuple
 
 from repro.errors import ConfigError, VerificationError
 from repro.isa.masks import Mask
 from repro.isa.program import ThreadCtx
-from repro.mem.image import ArrayView, MemoryImage
+from repro.mem.image import MemoryImage
 
 __all__ = [
     "KernelBase",
@@ -244,40 +243,6 @@ def glsc_paired_lock_apply(
             yield ctx.alu(1 + mixed % (1 << backoff), sync=True)
 
 
-def _rebind_views(value, image: MemoryImage):
-    """``value`` with every ArrayView and image inside re-targeted at ``image``.
-
-    A kernel is allocated into exactly one image, so any
-    :class:`MemoryImage` it holds (a kernel that allocates lazily keeps
-    one) is the template and becomes ``image`` too.  Returns ``value``
-    itself (identity-preserved) when nothing inside is a view or an
-    image, so :meth:`KernelBase.rebound` leaves plain attributes —
-    datasets, parameters — shared with the template kernel.
-    """
-    if isinstance(value, MemoryImage):
-        return image
-    if isinstance(value, ArrayView):
-        return ArrayView(image, value.base, value.length)
-    if isinstance(value, list):
-        rebound = [_rebind_views(item, image) for item in value]
-        if any(a is not b for a, b in zip(rebound, value)):
-            return rebound
-        return value
-    if isinstance(value, tuple):
-        rebound = tuple(_rebind_views(item, image) for item in value)
-        if any(a is not b for a, b in zip(rebound, value)):
-            return rebound
-        return value
-    if isinstance(value, dict):
-        rebound = {
-            key: _rebind_views(item, image) for key, item in value.items()
-        }
-        if any(rebound[key] is not value[key] for key in value):
-            return rebound
-        return value
-    return value
-
-
 class KernelBase(abc.ABC):
     """Contract every benchmark kernel implements.
 
@@ -286,6 +251,13 @@ class KernelBase(abc.ABC):
     ``Machine.add_program`` for every hardware thread, run, then
     :meth:`verify` against the kernel's oracle.  Instances are
     one-shot, like machines.
+
+    The batched backend builds each kernel once and allocates a
+    ``copy.copy`` of the unallocated instance per machine, so copies
+    share what the constructor built (dataset, per-thread
+    preprocessing) and nothing else.  :meth:`allocate` and the
+    programs must therefore *assign* the attributes they build, never
+    mutate one the constructor made.
     """
 
     #: short name, e.g. "hip" (set by subclasses)
@@ -321,33 +293,6 @@ class KernelBase(abc.ABC):
                 f"unknown variant {variant!r}; expected one of {VARIANTS}"
             )
         return self.base_program if variant == "base" else self.glsc_program
-
-    def rebound(self, image: MemoryImage) -> "KernelBase":
-        """A copy of this (allocated) kernel with its views on ``image``.
-
-        The batched backend allocates each distinct (kernel, dataset,
-        thread-count, geometry) combination once into a template image
-        and hydrates per-machine copies from the snapshot; ``rebound``
-        produces the kernel instance whose :meth:`verify` and programs
-        read *that machine's* image.  The clone shares the (read-only)
-        dataset objects and allocation layout — only the
-        :class:`~repro.mem.image.ArrayView` attributes are rebuilt,
-        wherever they live (attributes, lists, tuples, dict values),
-        and a held reference to the template image itself is pointed
-        at ``image``, so a lazy allocation made while the program runs
-        (the microbenchmark's index streams) lands in the machine's own
-        image at the same address as on an unbatched run.
-
-        ``image`` must have been hydrated from this kernel's own
-        allocation snapshot, so every view address stays valid.
-        """
-        self._require_allocated()
-        clone = copy.copy(self)
-        for name, value in vars(self).items():
-            replacement = _rebind_views(value, image)
-            if replacement is not value:
-                setattr(clone, name, replacement)
-        return clone
 
     # -- helpers for subclasses ----------------------------------------------
 

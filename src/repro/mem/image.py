@@ -16,32 +16,14 @@ simulated outcome is whatever the modeled hardware allows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, List, Optional, Sequence, Union
 
 from repro.errors import AllocationError, MemoryError_
 from repro.mem.layout import WORD_BYTES, LineGeometry, RegionMap
 
-__all__ = ["MemoryImage", "ArrayView", "ImageSnapshot"]
+__all__ = ["MemoryImage", "ArrayView"]
 
 Number = Union[int, float]
-
-
-@dataclass(frozen=True)
-class ImageSnapshot:
-    """Frozen post-``allocate`` state of a :class:`MemoryImage`.
-
-    Produced by :meth:`MemoryImage.snapshot`, consumed by
-    :meth:`MemoryImage.from_snapshot`.  ``words`` is the snapshot's
-    own copy of the image's words; ``regions`` is shared with the
-    image.  Treat both as read-only (hydrated images copy both).
-    """
-
-    size_bytes: int
-    geometry: LineGeometry
-    words: List[Number]
-    brk: int
-    regions: RegionMap
 
 
 class MemoryImage:
@@ -128,10 +110,11 @@ class MemoryImage:
     ) -> "ArrayView":
         """Allocate and initialize an array, returning a view over it."""
         base = self.alloc_words(max(len(values), 1), align, name=name)
-        view = ArrayView(self, base, len(values))
-        for i, value in enumerate(values):
-            view[i] = value
-        return view
+        # ``alloc`` already covered the range with words: one slice
+        # store writes them all.
+        first = base >> 2
+        self._words[first:first + len(values)] = values
+        return ArrayView(self, base, len(values))
 
     def alloc_zeros(
         self,
@@ -147,39 +130,6 @@ class MemoryImage:
     def bytes_allocated(self) -> int:
         """Current bump-pointer position (bytes handed out so far)."""
         return self._brk
-
-    # -- snapshots (batched backend) -------------------------------------
-
-    def snapshot(self) -> "ImageSnapshot":
-        """An immutable copy of this image's contents and allocator state.
-
-        The batched backend allocates a kernel's data once into a
-        template image and hydrates each machine's private image from
-        a snapshot of it — a single bulk list copy instead of
-        re-running every ``store_word`` of ``allocate``.  Treat the
-        snapshot as frozen: hydrated images copy it before mutating.
-        """
-        return ImageSnapshot(
-            size_bytes=self.size_bytes,
-            geometry=self.geometry,
-            words=list(self._words),
-            brk=self._brk,
-            regions=self.regions,
-        )
-
-    @classmethod
-    def from_snapshot(cls, snap: "ImageSnapshot") -> "MemoryImage":
-        """A fresh image hydrated from :meth:`snapshot`.
-
-        The word store and the region map are copied: each machine
-        mutates its own words, and a kernel that allocates lazily while
-        running grows its own machine's region map.
-        """
-        image = cls(snap.size_bytes, snap.geometry)
-        image._words = list(snap.words)
-        image._brk = snap.brk
-        image.regions = snap.regions.copy()
-        return image
 
     # -- word access ------------------------------------------------------
 

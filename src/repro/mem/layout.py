@@ -72,13 +72,6 @@ class RegionMap:
         self._bases.insert(index, base)
         return region
 
-    def copy(self) -> "RegionMap":
-        """An independent map holding the same (immutable) regions."""
-        clone = RegionMap()
-        clone._regions = list(self._regions)
-        clone._bases = list(self._bases)
-        return clone
-
     def find(self, addr: int) -> Optional[Region]:
         """The region containing ``addr``, or None."""
         index = bisect.bisect_right(self._bases, addr) - 1

@@ -2,15 +2,19 @@
 
 A bench grid is dozens of near-identical, fully independent machines.
 Simulating each through :func:`~repro.sim.executor.execute_spec`
-re-generates its dataset, re-allocates (word by word) its memory
-image and re-validates its program.  :class:`BatchRunner` simulates N
-specs in one process and pays each of those costs once per batch by
-**interning immutable inputs**: datasets are built once per batch
+re-generates its dataset, re-runs its kernel's per-thread
+preprocessing (the Table 2 reorders) and re-validates its program.
+:class:`BatchRunner` simulates N specs in one process and pays each of
+those costs once per batch by **interning immutable inputs**: datasets
+are built once per batch
 (:func:`~repro.workloads.interning.intern_datasets`), each distinct
-(kernel, dataset, thread count, geometry) combination is allocated
-once into a template image that one bulk list copy hydrates per
-machine (:class:`ImageCache`), and program objects are validated once
+(kernel, dataset, thread count) combination constructs its kernel
+once (:class:`ImageCache`), and program objects are validated once
 per combination (:class:`ProgramCache`).
+
+Each machine then allocates its own copy of that kernel into its own
+fresh memory image, exactly as
+:func:`~repro.sim.runner.run_prepared` does for a solo run.
 
 The machines themselves run **one at a time**, in input order: each is
 built, run from cycle 0 to completion, verified and released before
@@ -21,11 +25,11 @@ This is the only unobserved simulation path: the executor (in-process
 or one group per pool task) and the queue worker both run every fresh
 spec here, a lone spec as a batch of one.
 
-Machines in a batch share *nothing* mutable: each gets its own
-hydrated image and region map, its own rebound kernel (views *and*
-image references retargeted, so lazy allocations land in its own
-image), its own coherence system.  Every batched result is therefore
-**bitwise identical** (cycles + stats digest) to the reference
+Machines in a batch share *nothing* mutable: each gets its own image,
+region map and views (a lazy allocation, like the microbenchmark's
+index streams, lands in its own image), and its own coherence system.
+Every batched result is therefore **bitwise identical** (cycles +
+stats digest) to the reference
 :func:`~repro.sim.executor.execute_spec` — ``tests/bench/
 test_equivalence.py`` pins all 84 grid points through this runner, and
 ``tests/sim/test_batch.py`` property-checks random mixed batches,
@@ -38,13 +42,13 @@ zero-allocation guard holds.
 
 from __future__ import annotations
 
+import copy
 import gc
 import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.isa.program import check_program
-from repro.mem.image import MemoryImage
 from repro.sim.machine import Machine
 from repro.sim.stats import MachineStats
 from repro.workloads.interning import intern_datasets
@@ -53,60 +57,46 @@ __all__ = ["BatchResult", "BatchRunner", "ImageCache", "ProgramCache"]
 
 
 def _intern_key(spec: "RunSpec", config) -> Tuple[Any, ...]:
-    """The content key under which a spec's allocated image is shared.
+    """What the kernel constructor reads: kernel, dataset, thread count.
 
-    Everything the kernel constructor and ``allocate`` depend on:
-    kernel + dataset identity, the thread count (work splits and
-    per-thread arrays), and the image dimensions.  Width, variant, and
-    the remaining machine parameters only affect *execution*, so specs
-    differing in just those share one entry.
+    Specs differing only in width, variant or other machine parameters
+    share one constructed kernel.
     """
-    return (
-        spec.kernel,
-        spec.dataset,
-        config.n_threads,
-        config.mem_size_bytes,
-        config.line_bytes,
-    )
+    return (spec.kernel, spec.dataset, config.n_threads)
 
 
 class ImageCache:
-    """Batch-scoped cache of allocated template kernels and images.
+    """Batch-scoped cache of constructed, never-allocated kernels.
 
-    One entry per :func:`_intern_key`: the kernel and the template
-    image it was allocated into, which is never run.  The template is
-    the entry's only copy of the words (the kernel's views keep it
-    alive anyway); :meth:`materialize` hydrates each machine's private
-    image from a snapshot of it that lives only for that copy, and
-    rebinds the kernel onto the new image.
+    One template kernel per :func:`_intern_key`: its dataset and
+    per-thread preprocessing.  :meth:`materialize` hands each machine
+    a shallow copy to allocate into that machine's own image; the
+    template itself is never allocated.
     """
 
     def __init__(self) -> None:
-        self._entries: Dict[Tuple[Any, ...], Tuple[Any, MemoryImage]] = {}
+        self._kernels: Dict[Tuple[Any, ...], Any] = {}
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._kernels)
 
     def materialize(self, spec: "RunSpec", config):
-        """``(kernel, image)`` for ``spec``, building the template once."""
+        """An unallocated copy of ``spec``'s kernel, built once per key."""
         from repro.sim.executor import _make_spec_kernel
 
         key = _intern_key(spec, config)
-        entry = self._entries.get(key)
-        if entry is None:
-            kernel = _make_spec_kernel(spec, config.n_threads)
-            template = MemoryImage(config.mem_size_bytes, config.geometry)
-            kernel.allocate(template)
-            entry = self._entries[key] = (kernel, template)
-        template_kernel, template = entry
-        image = MemoryImage.from_snapshot(template.snapshot())
-        return template_kernel.rebound(image), image
+        kernel = self._kernels.get(key)
+        if kernel is None:
+            kernel = self._kernels[key] = _make_spec_kernel(
+                spec, config.n_threads
+            )
+        return copy.copy(kernel)
 
 
 class ProgramCache:
     """Once-per-batch program validation.
 
-    Rebound kernels share their template's code objects, so one
+    Copies of one template kernel share its code objects, so one
     :func:`~repro.isa.program.check_program` per (intern key, variant)
     covers every thread of every machine in the combination.
     """
@@ -130,9 +120,9 @@ class BatchResult:
     spec: "RunSpec"
     stats: MachineStats
     #: Measured wall seconds of this spec alone: its machine's set-up
-    #: (image hydration, program attach, cache warming, plus the
-    #: dataset and template image if this spec is the batch's first to
-    #: need them), simulation and verification.
+    #: (kernel allocation, program attach, cache warming, plus the
+    #: dataset and template kernel if this spec is the batch's first
+    #: to need them), simulation and verification.
     wall_s: float = 0.0
 
 
@@ -205,8 +195,9 @@ class BatchRunner:
         """
         began = time.perf_counter()
         config = spec.config()
-        kernel, image = images.materialize(spec, config)
-        machine = Machine(config, image=image)
+        kernel = images.materialize(spec, config)
+        machine = Machine(config)
+        kernel.allocate(machine.image)
         program = programs.program(
             kernel, _intern_key(spec, config), spec.variant
         )

@@ -53,25 +53,14 @@ BARRIER_RELEASE_COST = 24
 class Machine:
     """A simulated CMP executing one program per hardware thread."""
 
-    def __init__(
-        self,
-        config: MachineConfig,
-        image: Optional[MemoryImage] = None,
-        obs=None,
-    ) -> None:
+    def __init__(self, config: MachineConfig, obs=None) -> None:
         """``obs`` is an :class:`~repro.obs.bus.EventBus` receiving the
         typed event stream (retired instructions, cache/coherence
         traffic, reservations, GLSC element outcomes).  It is optional
         and costs nothing when absent.
         """
         self.config = config
-        self.image = image or MemoryImage(
-            config.mem_size_bytes, config.geometry
-        )
-        if self.image.geometry.line_bytes != config.line_bytes:
-            raise ConfigError(
-                "memory image line size disagrees with machine config"
-            )
+        self.image = MemoryImage(config.mem_size_bytes, config.geometry)
         self.stats = MachineStats()
         self.obs = obs
         self.coherence = CoherenceSystem(config, self.stats, obs=obs)

@@ -149,7 +149,9 @@ def group_independent(
     batch built from a group has no lock aliasing — the preprocessing
     GPS applies per thread (Table 2: "constraints within each thread
     are reordered into groups of independent constraints").
-    Groups are at most ``group_size`` long.
+    Groups are at most ``group_size`` long.  A pass stops at a full
+    group; the constraints it did not reach wait, in order, for the
+    next pass.
     """
     if group_size <= 0:
         raise ConfigError(f"group_size must be positive, got {group_size}")
@@ -159,14 +161,17 @@ def group_independent(
         used_objects = set()
         group: List[int] = []
         leftovers: List[int] = []
-        for idx in remaining:
+        for pos, idx in enumerate(remaining):
             a, b = constraints[idx]
-            if len(group) < group_size and a not in used_objects and b not in used_objects:
-                group.append(idx)
-                used_objects.add(a)
-                used_objects.add(b)
-            else:
+            if a in used_objects or b in used_objects:
                 leftovers.append(idx)
+                continue
+            group.append(idx)
+            used_objects.add(a)
+            used_objects.add(b)
+            if len(group) == group_size:
+                leftovers.extend(remaining[pos + 1:])
+                break
         groups.append(group)
         remaining = leftovers
     return groups

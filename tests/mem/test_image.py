@@ -96,6 +96,27 @@ class TestArrayView:
         view = image.alloc_array([1, 2])
         assert list(view) == [1, 2]
 
+    def test_alloc_array_writes_only_its_own_words(self, image):
+        image.alloc_zeros(5)
+        values = [3, -2, 0.5, 7.25, 1 << 20]
+        view = image.alloc_array(values, align=4, name="v")
+        image.alloc_zeros(2, align=4)
+        assert [image.load_word(view.addr(i)) for i in range(5)] == values
+        assert image.load_word(view.base - 4) == 0
+        assert image.load_word(view.base + 5 * 4) == 0
+        assert image.regions.find(view.base + 4).name == "v"
+
+    def test_empty_alloc_array_takes_one_zero_word(self, image):
+        view = image.alloc_array([], align=4)
+        assert len(view) == 0
+        assert image.bytes_allocated == view.base + 4
+        assert image.load_word(view.base) == 0
+        assert image.alloc_words(1, align=4) == view.base + 4
+
+    def test_alloc_array_out_of_memory(self):
+        with pytest.raises(AllocationError):
+            MemoryImage(size_bytes=256).alloc_array([1] * 64)
+
 
 class TestAllocatorProperties:
     @given(st.lists(st.integers(1, 300), min_size=1, max_size=30))
@@ -146,17 +167,3 @@ class TestDenseWords:
         for addr in (image.size_bytes, image.size_bytes + 4):
             with pytest.raises(MemoryError_):
                 access(image, addr)
-
-    def test_snapshot_and_hydrated_images_are_independent(self, image):
-        view = image.alloc_array([1, 2])
-        snap = image.snapshot()
-        a = MemoryImage.from_snapshot(snap)
-        b = MemoryImage.from_snapshot(snap)
-        a.store_word(view.base, 10)
-        b.store_word(view.base + 4, 20)
-        b.store_word(view.base + 256, 30)
-        image.store_word(view.base, 40)
-        assert a.load_words(view.base, 2) == [10, 2]
-        assert b.load_words(view.base, 2) == [1, 20]
-        assert a.load_word(view.base + 256) == 0
-        assert MemoryImage.from_snapshot(snap).load_words(view.base, 2) == [1, 2]

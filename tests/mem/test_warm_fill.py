@@ -116,15 +116,13 @@ def test_machine_warm_caches_uses_equivalent_state():
 
     coherence state as a hand-rolled slow warm on a second machine.
     """
-    from repro.mem.image import MemoryImage
     from repro.sim.machine import Machine
 
     config = MachineConfig().with_topology(2, 2)
 
     def make_machine():
-        image = MemoryImage(config.mem_size_bytes, config.geometry)
-        image.alloc_words(512)
-        machine = Machine(config, image=image)
+        machine = Machine(config)
+        machine.image.alloc_words(512)
 
         def program(ctx):
             yield ctx.alu()

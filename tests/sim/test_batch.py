@@ -1,7 +1,7 @@
 """Batched-backend determinism: batching must be unobservable.
 
 The batched backend (:mod:`repro.sim.batch`) shares interned datasets
-and template images across machines and runs them one after another
+and template kernels across machines and runs them one after another
 in one process — ways a bug could leak one machine's state into
 another's results, or keep it alive.  These tests pin the contract
 from every angle:
@@ -11,6 +11,8 @@ from every angle:
   protocols/variants/widths, split into batches of sizes including 1,
   are stats-digest-identical to serial :func:`execute_spec`;
 * the order of specs within a batch is unobservable;
+* copies of one template kernel, every registered kernel and the
+  microbenchmark, allocate into private images;
 * each spec's machine is freed before the next one is built, and
   per-spec walls are measured;
 * the executor's store records are byte-identical to records built
@@ -23,15 +25,22 @@ import json
 import random
 import weakref
 
+import pytest
+
 from repro.bench.suite import BenchSuite
+from repro.isa.program import ThreadCtx
+from repro.kernels.registry import KERNELS
+from repro.mem.image import ArrayView
 from repro.sim import batch
-from repro.sim.batch import BatchRunner
+from repro.sim.batch import BatchRunner, ImageCache
 from repro.sim.executor import Executor, RunSpec, execute_spec
+from repro.sim.machine import Machine
 from repro.sim.store import ResultStore
+from repro.workloads.interning import intern_datasets
 
 #: The microbenchmark allocates its index streams lazily, while the
 #: program runs — the allocation a batch must land in each machine's
-#: own image rather than the shared template.
+#: own image.
 MICRO_SPECS = [
     RunSpec.micro(scenario, "4x4", width, "glsc")
     for scenario in "ABCD"
@@ -44,6 +53,18 @@ def digest(stats) -> str:
         stats.to_dict(), sort_keys=True, separators=(",", ":")
     )
     return hashlib.sha256(payload.encode()).hexdigest()
+
+
+def views_of(value):
+    """Every ArrayView held in ``value``, through lists, tuples, dicts."""
+    if isinstance(value, ArrayView):
+        yield value
+    elif isinstance(value, (list, tuple)):
+        for item in value:
+            yield from views_of(item)
+    elif isinstance(value, dict):
+        for item in value.values():
+            yield from views_of(item)
 
 
 def spec_pool():
@@ -145,6 +166,43 @@ class TestBatchMatchesSerial:
         assert digest(results[0].stats) != digest(results[1].stats)
         for spec, result in zip(specs, results):
             assert digest(result.stats) == digest(execute_spec(spec))
+
+
+class TestImageCache:
+    @pytest.mark.parametrize(
+        "spec",
+        [RunSpec(name, "tiny", "1x2", 4, "glsc") for name in sorted(KERNELS)]
+        + [MICRO_SPECS[0]],
+        ids=lambda spec: spec.kernel,
+    )
+    def test_copies_allocate_into_private_images(self, spec):
+        """Two copies of one key: a store through one leaves the other."""
+        config = spec.config()
+        cache = ImageCache()
+        with intern_datasets():
+            first = cache.materialize(spec, config)
+            second = cache.materialize(spec, config)
+        (template,) = cache._kernels.values()
+        mine, other = Machine(config), Machine(config)
+        first.allocate(mine.image)
+        second.allocate(other.image)
+        if spec.is_micro:
+            # The lazy index-stream allocation, as the program makes it.
+            first._index_array_for(
+                ThreadCtx(0, config.n_threads, config.simd_width)
+            )
+        extent = other.image.bytes_allocated // 4
+        before = other.image.load_words(0, extent)
+        views = list(views_of(vars(first)))
+        assert views
+        for view in views:
+            if len(view):
+                view[0] = -1
+                assert mine.image.load_word(view.base) == -1
+        assert other.image.bytes_allocated == extent * 4
+        assert other.image.load_words(0, extent) == before
+        assert not template._allocated
+        assert not list(views_of(vars(template)))
 
 
 class TestExecutorBatchBackend:

@@ -5,12 +5,48 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigError
+from repro.kernels.common import MAX_SIMD_WIDTH, chunk
+from repro.workloads.datasets import dataset_params
 from repro.workloads.graphs import (
     constraint_system,
     flow_network,
     group_independent,
 )
 from repro.workloads.grids import collision_scene, particle_field
+
+
+def rescan_group_independent(constraints, group_size):
+    """Reference reorder: every pass rescans all remaining constraints."""
+    remaining = list(range(len(constraints)))
+    groups = []
+    while remaining:
+        used_objects = set()
+        group = []
+        leftovers = []
+        for idx in remaining:
+            a, b = constraints[idx]
+            if (len(group) < group_size and a not in used_objects
+                    and b not in used_objects):
+                group.append(idx)
+                used_objects.add(a)
+                used_objects.add(b)
+            else:
+                leftovers.append(idx)
+        groups.append(group)
+        remaining = leftovers
+    return groups
+
+
+def dataset_a_thread_lists(n_threads):
+    """The per-thread constraint lists GPS and MFP reorder on dataset A."""
+    system = constraint_system(**dataset_params("gps", "A"))
+    network = flow_network(**dataset_params("mfp", "A"))
+    lists = []
+    for items in (system.constraints, network.edges):
+        for tid in range(n_threads):
+            lo, hi = chunk(len(items), n_threads, tid)
+            lists.append(items[lo:hi])
+    return lists
 
 
 class TestCollisionScene:
@@ -172,6 +208,20 @@ class TestGroupIndependent:
         with pytest.raises(ConfigError):
             group_independent([(0, 1)], 0)
 
+    @pytest.mark.parametrize("n_threads", [1, 16])
+    def test_dataset_a_matches_rescan_reference(self, n_threads):
+        for constraints in dataset_a_thread_lists(n_threads):
+            groups = group_independent(constraints, MAX_SIMD_WIDTH)
+            assert groups == rescan_group_independent(
+                constraints, MAX_SIMD_WIDTH
+            )
+            flat = sorted(i for g in groups for i in g)
+            assert flat == list(range(len(constraints)))
+            for group in groups:
+                assert len(group) <= MAX_SIMD_WIDTH
+                objects = [o for idx in group for o in constraints[idx]]
+                assert len(objects) == len(set(objects))
+
     @settings(max_examples=25)
     @given(
         st.lists(
@@ -183,6 +233,7 @@ class TestGroupIndependent:
     )
     def test_independence_property(self, constraints, group_size):
         groups = group_independent(constraints, group_size)
+        assert groups == rescan_group_independent(constraints, group_size)
         flat = sorted(i for g in groups for i in g)
         assert flat == list(range(len(constraints)))
         for group in groups:
