@@ -8,12 +8,15 @@ latency.
 
 Instruction execution is dispatched through a per-thread *handler
 table* compiled when the thread is attached: one bound callable per
-:class:`~repro.isa.instructions.Kind`, closing over the LSU/GSU and
-the thread's SMT slot.  Issuing an instruction is then a single
-indexed call — no per-issue chain of kind comparisons.  ALU/VALU work
-costs one cycle per operation.  A thread blocks on its own memory
-instruction until the unit reports the completion cycle;
-gather/scatter instructions are blocking per the paper (Section 2.2).
+:class:`~repro.isa.instructions.Kind`, closing over the thread's SMT
+slot and stats.  Issuing an instruction is then a single indexed call
+— no per-issue chain of kind comparisons.  A memory handler passes
+the :class:`~repro.isa.instructions.Instr` itself to the LSU or GSU,
+which decodes its operands, so every memory instruction costs one
+handler frame plus the unit call.  ALU/VALU work costs one cycle per
+operation.  A thread blocks on its own memory instruction until the
+unit reports the completion cycle; gather/scatter instructions are
+blocking per the paper (Section 2.2).
 """
 
 from __future__ import annotations
@@ -107,8 +110,7 @@ class Core:
         "obs",
         "done_events",
         "barrier_arrivals",
-        "_rr",
-        "_last_it",
+        "_orders",
         "_next_ready",
         "_issue_width",
     )
@@ -136,10 +138,8 @@ class Core:
         # of lifecycle changes without rescanning every thread.
         self.done_events: List[HwThread] = []
         self.barrier_arrivals: List[HwThread] = []
-        self._rr = 0
-        # Machine-loop iteration this core last ticked at; idle ticks
-        # are skipped and their round-robin advances applied lazily.
-        self._last_it = -1
+        # ``_orders[r]``: the threads in round-robin order from thread r.
+        self._orders: Tuple[Tuple[HwThread, ...], ...] = ()
         # The machine loop's cached next_ready_cycle() for this core:
         # the cycle loop ticks the core when the clock reaches it.
         self._next_ready: Optional[int] = None
@@ -154,7 +154,11 @@ class Core:
             )
         thread.core_id = self.core_id
         thread.handlers = self._compile_handlers(thread.slot, thread.stats)
-        self.threads.append(thread)
+        threads = self.threads
+        threads.append(thread)
+        self._orders = tuple(
+            tuple(threads[r:] + threads[:r]) for r in range(len(threads))
+        )
 
     # -- scheduling --------------------------------------------------------
 
@@ -163,34 +167,39 @@ class Core:
 
         ``it`` is the machine loop's iteration counter.  The reference
         loop ticked every core every iteration, advancing the
-        round-robin pointer even on idle ticks; the event-driven loop
-        only ticks cores with runnable threads, so the skipped
-        advances are applied here in one step to keep the arbitration
-        sequence bit-identical.
+        round-robin pointer by one thread each time, even on idle
+        ticks.  So the pointer at iteration ``it`` is ``it`` modulo the
+        thread count, and the event-driven loop, which only ticks cores
+        with runnable threads, keeps the arbitration sequence
+        bit-identical.
+
+        One loop serves every thread count: it walks the precomputed
+        round-robin order that starts at the pointer, so a
+        single-thread core visits its one thread with no index
+        arithmetic.
 
         Returns the post-tick :meth:`next_ready_cycle` value, computed
         in the same pass so the machine loop never rescans the threads.
         """
-        threads = self.threads
-        n = len(threads)
-        if n == 0:
-            return None
+        orders = self._orders
         obs = self.obs
-        if n == 1:
-            # Single-thread core: no arbitration.  The round-robin
-            # pointer is identically 0 and the issue loop visits one
-            # thread, so the general path below reduces to exactly
-            # this (same issue condition, same bookkeeping).
-            self._last_it = it
-            thread = threads[0]
-            if thread.state == T_READY and thread.ready_at <= now:
+        issued = 0
+        width = self._issue_width
+        next_ready: Optional[int] = None
+        for thread in orders[it % len(orders)]:
+            if thread.state != T_READY:
+                continue
+            r = thread.ready_at
+            if r <= now and issued < width:
+                # -- issue path, inlined (the hottest loop in the sim) --
+                issued += 1
                 try:
                     instr = thread._send(thread._pending_result)
                 except StopIteration:
                     thread.state = T_DONE
                     thread.stats.finish_cycle = now
                     self.done_events.append(thread)
-                    return None
+                    continue
                 if type(instr) is not Instr:
                     raise ProgramError(
                         f"thread {thread.global_tid} yielded "
@@ -200,8 +209,8 @@ class Core:
                 completion, result = thread.handlers[kind](instr, now)
                 if obs is not None and obs.wants_instr:
                     obs.emit(TraceEvent(
-                        now, completion, thread.global_tid, self.core_id,
-                        kind, instr.sync,
+                        now, completion, thread.global_tid,
+                        self.core_id, kind, instr.sync,
                     ))
                 thread._pending_result = result
                 if kind == _OP_BARRIER:
@@ -209,56 +218,10 @@ class Core:
                     thread.barrier_group = instr.group
                     thread.barrier_since = now
                     self.barrier_arrivals.append(thread)
-                    return None
-                thread.ready_at = completion
-                return completion
-            return thread.ready_at if thread.state == T_READY else None
-        rr = self._rr + (it - self._last_it - 1)
-        self._last_it = it
-        issued = 0
-        width = self._issue_width
-        next_ready: Optional[int] = None
-        for i in range(n):
-            thread = threads[(rr + i) % n]
-            if (
-                issued < width
-                and thread.state == T_READY
-                and thread.ready_at <= now
-            ):
-                # -- issue path, inlined (the hottest loop in the sim) --
-                try:
-                    instr = thread._send(thread._pending_result)
-                except StopIteration:
-                    thread.state = T_DONE
-                    thread.stats.finish_cycle = now
-                    self.done_events.append(thread)
-                else:
-                    if type(instr) is not Instr:
-                        raise ProgramError(
-                            f"thread {thread.global_tid} yielded "
-                            f"{type(instr).__name__}, expected Instr"
-                        )
-                    kind = instr.kind
-                    completion, result = thread.handlers[kind](instr, now)
-                    if obs is not None and obs.wants_instr:
-                        obs.emit(TraceEvent(
-                            now, completion, thread.global_tid,
-                            self.core_id, kind, instr.sync,
-                        ))
-                    thread._pending_result = result
-                    if kind == _OP_BARRIER:
-                        thread.state = T_BARRIER
-                        thread.barrier_group = instr.group
-                        thread.barrier_since = now
-                        self.barrier_arrivals.append(thread)
-                    else:
-                        thread.ready_at = completion
-                issued += 1
-            if thread.state == T_READY:
-                r = thread.ready_at
-                if next_ready is None or r < next_ready:
-                    next_ready = r
-        self._rr = (rr + 1) % n
+                    continue
+                thread.ready_at = r = completion
+            if next_ready is None or r < next_ready:
+                next_ready = r
         return next_ready
 
     def next_ready_cycle(self) -> Optional[int]:
@@ -276,11 +239,13 @@ class Core:
     def _compile_handlers(self, slot: int, stats: ThreadStats) -> List[Handler]:
         """Bind one handler per instruction kind for SMT slot ``slot``.
 
-        Each handler closes over the unit method, the slot, and the
-        thread's stats, so the issue path pays one list index + one
-        call instead of a dispatch chain; operand decode is just
-        attribute loads off the Instr.  The per-instruction stats
-        accounting is::
+        Each handler closes over the slot and the thread's stats, so
+        the issue path pays one list index + one call instead of a
+        dispatch chain.  A memory handler calls its unit entry point
+        as ``op(slot, instr, now) -> (completion, result)``; the unit
+        decodes the operands from the ``Instr``.  Both indexed kinds of
+        a direction share one GSU method, which tells them apart by
+        ``instr.kind``.  The per-instruction stats accounting is::
 
             icount = instr.count if IS_COMPUTE_OP[kind] else 1
             busy = max(completion - now, 1)
@@ -297,19 +262,14 @@ class Core:
         charges a memory instruction; the compute and barrier handlers
         apply the rule with ``busy`` known statically.
         """
-        lsu = self.lsu
-        gsu = self.gsu
-        load, store = lsu.load, lsu.store
-        ll, sc = lsu.ll, lsu.sc
-        vload, vstore = lsu.vload, lsu.vstore
-        gather, scatter = gsu.gather, gsu.scatter
 
-        def memory(op: Callable[[Instr, int], Tuple[Any, int]]) -> Handler:
-            """Handler for a memory kind whose unit call is
-            ``op(instr, now) -> (result, completion)``."""
+        def memory(
+            op: Callable[[int, Instr, int], Tuple[int, Any]]
+        ) -> Handler:
+            """Handler for a memory kind executed by unit method ``op``."""
 
             def handler(instr: Instr, now: int):
-                result, completion = op(instr, now)
+                completion, result = op(slot, instr, now)
                 busy = completion - now
                 if busy < 1:
                     busy = 1
@@ -344,20 +304,6 @@ class Core:
                 stats.sync_cycles += count
             return now + count, result
 
-        def op_vgather(instr: Instr, now: int):
-            (values, _), completion = gather(
-                slot, instr.base, instr.indices, instr.mask, now,
-                linked=False, sync=instr.sync,
-            )
-            return values, completion
-
-        def op_vscatter(instr: Instr, now: int):
-            _, completion = scatter(
-                slot, instr.base, instr.indices, instr.values, instr.mask,
-                now, conditional=False, sync=instr.sync,
-            )
-            return None, completion
-
         def h_barrier(instr: Instr, now: int):
             stats.instructions += 1  # busy is identically 1
             stats.busy_cycles += 1
@@ -371,47 +317,19 @@ class Core:
                 f"unhandled instruction kind {instr.kind}"
             )
 
+        lsu = self.lsu
+        gather = memory(self.gsu.gather)
+        scatter = memory(self.gsu.scatter)
         table: List[Handler] = [h_unhandled] * N_KINDS
         table[Kind.ALU] = h_alu
         table[Kind.VALU] = h_valu
-        table[Kind.LOAD] = memory(
-            lambda instr, now: load(slot, instr.addr, now, sync=instr.sync)
-        )
-        table[Kind.STORE] = memory(
-            lambda instr, now: (None, store(
-                slot, instr.addr, instr.value, now, sync=instr.sync
-            ))
-        )
-        table[Kind.LL] = memory(
-            lambda instr, now: ll(slot, instr.addr, now)
-        )
-        table[Kind.SC] = memory(
-            lambda instr, now: sc(slot, instr.addr, instr.value, now)
-        )
-        table[Kind.VLOAD] = memory(
-            lambda instr, now: vload(
-                slot, instr.addr, instr.count, now, sync=instr.sync
-            )
-        )
-        table[Kind.VSTORE] = memory(
-            lambda instr, now: (None, vstore(
-                slot, instr.addr, instr.values, instr.mask, now,
-                sync=instr.sync,
-            ))
-        )
-        table[Kind.VGATHER] = memory(op_vgather)
-        table[Kind.VGATHERLINK] = memory(
-            lambda instr, now: gather(
-                slot, instr.base, instr.indices, instr.mask, now,
-                linked=True,
-            )
-        )
-        table[Kind.VSCATTER] = memory(op_vscatter)
-        table[Kind.VSCATTERCOND] = memory(
-            lambda instr, now: scatter(
-                slot, instr.base, instr.indices, instr.values, instr.mask,
-                now, conditional=True,
-            )
-        )
+        table[Kind.LOAD] = memory(lsu.load)
+        table[Kind.STORE] = memory(lsu.store)
+        table[Kind.LL] = memory(lsu.ll)
+        table[Kind.SC] = memory(lsu.sc)
+        table[Kind.VLOAD] = memory(lsu.vload)
+        table[Kind.VSTORE] = memory(lsu.vstore)
+        table[Kind.VGATHER] = table[Kind.VGATHERLINK] = gather
+        table[Kind.VSCATTER] = table[Kind.VSCATTERCOND] = scatter
         table[Kind.BARRIER] = h_barrier
         return table

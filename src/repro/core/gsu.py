@@ -27,9 +27,10 @@ scatter-conditional time.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.ports import L1Port
+from repro.isa.instructions import Instr, Kind
 from repro.isa.masks import Mask
 from repro.mem.coherence import CoherenceSystem
 from repro.mem.image import MemoryImage
@@ -50,6 +51,11 @@ _ORDER = 1
 _ADDR = 2
 _LINE = 3
 _LaneRequest = Tuple[int, int, int, int]
+
+#: The GLSC kinds, bound once: an enum member read through its class
+#: costs several times a module-global read on the per-instruction path.
+_VGATHERLINK = Kind.VGATHERLINK
+_VSCATTERCOND = Kind.VSCATTERCOND
 
 
 class Gsu:
@@ -207,26 +213,24 @@ class Gsu:
     # ------------------------------------------------------------------
 
     def gather(
-        self,
-        slot: int,
-        base: int,
-        indices: Sequence[int],
-        mask: Mask,
-        now: int,
-        linked: bool,
-        sync: bool = False,
-    ) -> Tuple[Tuple[Tuple, Mask], int]:
-        """Execute ``vgather`` (linked=False) or ``vgatherlink``.
+        self, slot: int, instr: Instr, now: int
+    ) -> Tuple[int, Union[Tuple, Tuple[Tuple, Mask]]]:
+        """Execute ``vgather`` or ``vgatherlink``.
 
-        Returns ``((values, out_mask), completion_cycle)``.  For plain
-        gathers the out mask simply echoes the input mask.
+        Returns ``(completion_cycle, result)``: the gathered values, or
+        for ``vgatherlink`` the pair ``(values, out_mask)`` whose mask
+        holds the lanes that obtained their reservations.
         """
+        linked = instr.kind is _VGATHERLINK
+        mask = instr.mask
         width = mask.width
-        requests, groups = self._lane_requests(base, indices, mask)
+        requests, groups = self._lane_requests(
+            instr.base, instr.indices, mask
+        )
         start = self._start_generation(now, len(requests))
         values: List = [0] * width
         out_bits = 0
-        sync = sync or linked
+        sync = linked or instr.sync
         obs = self.obs
         wants_glsc = obs is not None and obs.wants_glsc
 
@@ -276,8 +280,6 @@ class Gsu:
                 access = self.coherence.read(
                     self.core_id, slot, first[_ADDR], acc_start, sync=sync
                 )
-                for req in group:
-                    out_bits |= 1 << req[_LANE]
             acc_end = acc_start + access.latency
             if acc_end > completion:
                 completion = acc_end
@@ -292,34 +294,34 @@ class Gsu:
         for req in requests:
             values[req[_LANE]] = load_word(req[_ADDR])
 
-        return (tuple(values), Mask._raw(out_bits, width)), completion
+        if linked:
+            return completion, (tuple(values), Mask._raw(out_bits, width))
+        return completion, tuple(values)
 
     # ------------------------------------------------------------------
     # scatters
     # ------------------------------------------------------------------
 
     def scatter(
-        self,
-        slot: int,
-        base: int,
-        indices: Sequence[int],
-        values: Sequence,
-        mask: Mask,
-        now: int,
-        conditional: bool,
-        sync: bool = False,
-    ) -> Tuple[Mask, int]:
-        """Execute ``vscatter`` (conditional=False) or ``vscattercond``.
+        self, slot: int, instr: Instr, now: int
+    ) -> Tuple[int, Optional[Mask]]:
+        """Execute ``vscatter`` or ``vscattercond``.
 
-        Returns ``(out_mask, completion_cycle)``.  For plain scatters
-        the out mask echoes the input mask and aliased lanes resolve
-        highest-lane-wins (undefined in the paper's ISA).
+        Returns ``(completion_cycle, result)``: ``None`` for a plain
+        scatter, whose aliased lanes resolve highest-lane-wins
+        (undefined in the paper's ISA), or for ``vscattercond`` the
+        mask of lanes whose stores succeeded.
         """
+        conditional = instr.kind is _VSCATTERCOND
+        mask = instr.mask
+        values = instr.values
         width = mask.width
-        requests, groups = self._lane_requests(base, indices, mask)
+        requests, groups = self._lane_requests(
+            instr.base, instr.indices, mask
+        )
         start = self._start_generation(now, len(requests))
         out_bits = 0
-        sync = sync or conditional
+        sync = conditional or instr.sync
         completion = start + self._assembly_cycles + len(requests)
         obs = self.obs
         wants_glsc = obs is not None and obs.wants_glsc
@@ -377,4 +379,6 @@ class Gsu:
                     group, slot, "scatter", start, sync, completion
                 )
 
-        return Mask._raw(out_bits, width), completion
+        if conditional:
+            return completion, Mask._raw(out_bits, width)
+        return completion, None

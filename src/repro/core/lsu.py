@@ -17,12 +17,12 @@ Timing conventions:
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Tuple
 
 from repro.core.ports import L1Port
-from repro.isa.masks import Mask
+from repro.isa.instructions import Instr
 from repro.mem.coherence import CoherenceSystem
-from repro.mem.image import MemoryImage
+from repro.mem.image import MemoryImage, Number
 from repro.mem.layout import WORD_BYTES
 from repro.sim.config import MachineConfig
 from repro.sim.stats import MachineStats
@@ -50,60 +50,66 @@ class Lsu:
         self.port = port
         self._line_bytes = config.geometry.line_bytes
 
+    # Every entry point is ``(slot, instr, now) -> (completion, result)``:
+    # the operands come from the validated Instr, and the pair is in the
+    # order the core's handler returns it.
+
     # -- scalar ------------------------------------------------------------
 
-    def load(
-        self, slot: int, addr: int, now: int, sync: bool = False
-    ) -> Tuple[float, int]:
-        """Scalar load; returns (value, completion cycle)."""
+    def load(self, slot: int, instr: Instr, now: int) -> Tuple[int, Number]:
+        """Scalar load; the result is the word's value."""
+        addr = instr.addr
         start = self.port.book(now)
         access = self.coherence.read(
-            self.core_id, slot, addr, start, sync=sync
+            self.core_id, slot, addr, start, sync=instr.sync
         )
-        value = self.image.load_word(addr)
-        return value, start + access.latency
+        return start + access.latency, self.image.load_word(addr)
 
-    def store(
-        self, slot: int, addr: int, value, now: int, sync: bool = False
-    ) -> int:
-        """Scalar store; returns completion cycle (write-buffered)."""
+    def store(self, slot: int, instr: Instr, now: int) -> Tuple[int, None]:
+        """Scalar store; completes when the write buffer takes it."""
+        addr = instr.addr
         start = self.port.book(now)
-        self.coherence.write(self.core_id, slot, addr, start, sync=sync)
-        self.image.store_word(addr, value)
-        return start + 1
+        self.coherence.write(self.core_id, slot, addr, start, sync=instr.sync)
+        self.image.store_word(addr, instr.value)
+        return start + 1, None
 
-    def ll(self, slot: int, addr: int, now: int) -> Tuple[float, int]:
-        """Load-linked; returns (value, completion cycle)."""
+    def ll(self, slot: int, instr: Instr, now: int) -> Tuple[int, Number]:
+        """Load-linked; the result is the word's value."""
+        addr = instr.addr
         start = self.port.book(now)
         access = self.coherence.scalar_ll(self.core_id, slot, addr, start)
         value = self.image.load_word(addr)
         self.stats.ll_count += 1
-        return value, start + access.latency
+        return start + access.latency, value
 
-    def sc(self, slot: int, addr: int, value, now: int) -> Tuple[bool, int]:
-        """Store-conditional; returns (success, completion cycle)."""
+    def sc(self, slot: int, instr: Instr, now: int) -> Tuple[int, bool]:
+        """Store-conditional; the result is the success flag."""
+        addr = instr.addr
         start = self.port.book(now)
         access, success = self.coherence.scalar_sc(
             self.core_id, slot, addr, start
         )
         if success:
-            self.image.store_word(addr, value)
+            self.image.store_word(addr, instr.value)
         else:
             self.stats.sc_failures += 1
         self.stats.sc_count += 1
-        return success, start + access.latency
+        return start + access.latency, success
 
     # -- contiguous SIMD -----------------------------------------------------
 
     def vload(
-        self, slot: int, addr: int, width: int, now: int, sync: bool = False
-    ) -> Tuple[Tuple[float, ...], int]:
-        """Contiguous SIMD load; returns (values, completion cycle)."""
-        nbytes = width * WORD_BYTES
+        self, slot: int, instr: Instr, now: int
+    ) -> Tuple[int, Tuple[Number, ...]]:
+        """Contiguous SIMD load of ``instr.count`` words; the result is
+        their values."""
+        addr = instr.addr
+        width = instr.count
+        sync = instr.sync
         line_bytes = self._line_bytes
         completion = now
         line = addr - addr % line_bytes
-        end = addr + nbytes - 1
+        end = addr + width * WORD_BYTES - 1
         last_line = end - end % line_bytes
         offset = 0
         book = self.port.book
@@ -119,26 +125,16 @@ class Lsu:
                 completion = acc_end
             line += line_bytes
             offset += 1
-        values = tuple(self.image.load_words(addr, width))
-        return values, completion
+        return completion, tuple(self.image.load_words(addr, width))
 
-    def vstore(
-        self,
-        slot: int,
-        addr: int,
-        values: Sequence,
-        mask: Optional[Mask],
-        now: int,
-        sync: bool = False,
-    ) -> int:
-        """Contiguous SIMD store under mask; write-buffered."""
+    def vstore(self, slot: int, instr: Instr, now: int) -> Tuple[int, None]:
+        """Contiguous SIMD store under ``instr.mask``; write-buffered."""
+        addr = instr.addr
+        values = instr.values
         line_bytes = self._line_bytes
-        width = len(values)
-        if mask is None:
-            mask = Mask.all_ones(width)
-        active = mask.active_lanes()
+        active = instr.mask.active_lanes()
         if not active:
-            return now + 1
+            return now + 1, None
         touched_lines = []
         for lane in active:
             lane_addr = addr + lane * WORD_BYTES
@@ -149,9 +145,9 @@ class Lsu:
         for offset, line in enumerate(touched_lines):
             start = self.port.book(now + offset)
             self.coherence.write(
-                self.core_id, slot, line, start, sync=sync
+                self.core_id, slot, line, start, sync=instr.sync
             )
             completion = max(completion, start + 1)
         for lane in active:
             self.image.store_word(addr + lane * WORD_BYTES, values[lane])
-        return completion
+        return completion, None

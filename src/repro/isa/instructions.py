@@ -28,10 +28,11 @@ accesses (Table 4).
 from __future__ import annotations
 
 from enum import Enum, IntEnum, auto
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Any, Callable, NamedTuple, Optional, Sequence, Tuple
 
 from repro.errors import IsaError
 from repro.isa.masks import Mask
+from repro.records import record
 
 __all__ = [
     "Kind",
@@ -73,6 +74,11 @@ class Kind(IntEnum):
     __format__ = Enum.__format__
 
 
+# The constructors read the kinds as module globals: on CPython 3.11 an
+# enum member read through its class costs several times as much.
+(_ALU, _VALU, _LOAD, _STORE, _LL, _SC, _VLOAD, _VSTORE, _VGATHER, _VSCATTER,
+ _VGATHERLINK, _VSCATTERCOND, _BARRIER) = Kind
+
 #: Kinds handled by the gather/scatter unit.
 GSU_KINDS = frozenset(
     {Kind.VGATHER, Kind.VSCATTER, Kind.VGATHERLINK, Kind.VSCATTERCOND}
@@ -107,59 +113,38 @@ IS_MEMORY_OP = tuple(
 )
 
 
-
 #: Interned scalar-ALU descriptors, keyed (count, sync); see Instr.alu.
 _ALU_INTERNED: dict = {}
 
 
-class Instr:
+@record
+class Instr(NamedTuple):
     """One dynamic instruction yielded by a thread program.
 
+    An immutable record (:func:`repro.records.record`): the core hands
+    it unchanged to the LSU or GSU, which read their operands from it.
     Only the fields relevant to the instruction's :class:`Kind` are
     populated; the constructors below validate the combinations, so the
-    core model can trust the operands.
+    core model can trust the operands, and build the record in one
+    positional ``tuple.__new__``.  Fields are, in order:
+
+    ``kind``; ``count`` (compute ops, or the ``vload`` width); ``fn``
+    (``valu``); ``addr`` and ``value`` (scalar and contiguous access);
+    ``base``, ``indices`` and ``values`` (indexed access; ``vstore``
+    also uses ``values``); ``mask``; ``sync``; ``group`` (barrier).
     """
 
-    __slots__ = (
-        "kind",
-        "count",
-        "fn",
-        "addr",
-        "value",
-        "base",
-        "indices",
-        "values",
-        "mask",
-        "sync",
-        "group",
-    )
-
-    def __init__(
-        self,
-        kind: Kind,
-        *,
-        count: int = 1,
-        fn: Optional[Callable] = None,
-        addr: Optional[int] = None,
-        value=None,
-        base: Optional[int] = None,
-        indices: Optional[Sequence[int]] = None,
-        values: Optional[Sequence] = None,
-        mask: Optional[Mask] = None,
-        sync: bool = False,
-        group: Optional[str] = None,
-    ) -> None:
-        self.kind = kind
-        self.count = count
-        self.fn = fn
-        self.addr = addr
-        self.value = value
-        self.base = base
-        self.indices = tuple(indices) if indices is not None else None
-        self.values = tuple(values) if values is not None else None
-        self.mask = mask
-        self.sync = sync
-        self.group = group
+    kind: Kind
+    count: int = 1
+    fn: Optional[Callable] = None
+    addr: Optional[int] = None
+    value: Any = None
+    base: Optional[int] = None
+    indices: Optional[Tuple[int, ...]] = None
+    values: Optional[Tuple] = None
+    mask: Optional[Mask] = None
+    sync: bool = False
+    group: Optional[str] = None
 
     def __repr__(self) -> str:
         parts = [self.kind.name.lower()]
@@ -180,26 +165,18 @@ class Instr:
         """``count`` scalar ALU operations (1 cycle each).
 
         Instances are interned per ``(count, sync)``: an ``Instr`` is
-        immutable once built and kernels yield enormous numbers of
-        identical scalar-ALU descriptors, so one object serves all.
+        immutable and kernels yield enormous numbers of identical
+        scalar-ALU descriptors, so one object serves all.
         """
         instr = _ALU_INTERNED.get((count, sync))
         if instr is not None:
             return instr
         if count < 1:
             raise IsaError(f"alu count must be >= 1, got {count}")
-        instr = cls.__new__(cls)
-        instr.kind = Kind.ALU
-        instr.count = count
-        instr.fn = None
-        instr.addr = None
-        instr.value = None
-        instr.base = None
-        instr.indices = None
-        instr.values = None
-        instr.mask = None
-        instr.sync = sync
-        instr.group = None
+        instr = tuple.__new__(cls, (
+            _ALU, count, None, None, None, None, None, None, None,
+            sync, None,
+        ))
         _ALU_INTERNED[(count, sync)] = instr
         return instr
 
@@ -215,106 +192,52 @@ class Instr:
             raise IsaError(f"valu count must be >= 1, got {count}")
         if not callable(fn):
             raise IsaError("valu requires a callable")
-        instr = cls.__new__(cls)
-        instr.kind = Kind.VALU
-        instr.count = count
-        instr.fn = fn
-        instr.addr = None
-        instr.value = None
-        instr.base = None
-        instr.indices = None
-        instr.values = None
-        instr.mask = None
-        instr.sync = sync
-        instr.group = None
-        return instr
+        return tuple.__new__(cls, (
+            _VALU, count, fn, None, None, None, None, None, None,
+            sync, None,
+        ))
 
     @classmethod
     def load(cls, addr: int, sync: bool = False) -> "Instr":
         """Scalar word load."""
-        instr = cls.__new__(cls)
-        instr.kind = Kind.LOAD
-        instr.count = 1
-        instr.fn = None
-        instr.addr = _check_addr(addr)
-        instr.value = None
-        instr.base = None
-        instr.indices = None
-        instr.values = None
-        instr.mask = None
-        instr.sync = sync
-        instr.group = None
-        return instr
+        return tuple.__new__(cls, (
+            _LOAD, 1, None, _check_addr(addr), None, None, None, None,
+            None, sync, None,
+        ))
 
     @classmethod
     def store(cls, addr: int, value, sync: bool = False) -> "Instr":
         """Scalar word store."""
-        instr = cls.__new__(cls)
-        instr.kind = Kind.STORE
-        instr.count = 1
-        instr.fn = None
-        instr.addr = _check_addr(addr)
-        instr.value = value
-        instr.base = None
-        instr.indices = None
-        instr.values = None
-        instr.mask = None
-        instr.sync = sync
-        instr.group = None
-        return instr
+        return tuple.__new__(cls, (
+            _STORE, 1, None, _check_addr(addr), value, None, None, None,
+            None, sync, None,
+        ))
 
     @classmethod
     def ll(cls, addr: int, sync: bool = True) -> "Instr":
         """Scalar load-linked; sets this thread's reservation."""
-        instr = cls.__new__(cls)
-        instr.kind = Kind.LL
-        instr.count = 1
-        instr.fn = None
-        instr.addr = _check_addr(addr)
-        instr.value = None
-        instr.base = None
-        instr.indices = None
-        instr.values = None
-        instr.mask = None
-        instr.sync = sync
-        instr.group = None
-        return instr
+        return tuple.__new__(cls, (
+            _LL, 1, None, _check_addr(addr), None, None, None, None,
+            None, sync, None,
+        ))
 
     @classmethod
     def sc(cls, addr: int, value, sync: bool = True) -> "Instr":
         """Scalar store-conditional; result is a success boolean."""
-        instr = cls.__new__(cls)
-        instr.kind = Kind.SC
-        instr.count = 1
-        instr.fn = None
-        instr.addr = _check_addr(addr)
-        instr.value = value
-        instr.base = None
-        instr.indices = None
-        instr.values = None
-        instr.mask = None
-        instr.sync = sync
-        instr.group = None
-        return instr
+        return tuple.__new__(cls, (
+            _SC, 1, None, _check_addr(addr), value, None, None, None,
+            None, sync, None,
+        ))
 
     @classmethod
     def vload(cls, addr: int, width: int, sync: bool = False) -> "Instr":
         """Contiguous SIMD load of ``width`` words starting at ``addr``."""
         if width < 1:
             raise IsaError(f"vload width must be >= 1, got {width}")
-        instr = cls.__new__(cls)
-        instr.kind = Kind.VLOAD
-        instr.count = width
-        instr.fn = None
-        instr.addr = _check_addr(addr)
-        instr.value = None
-        instr.base = None
-        instr.indices = None
-        instr.values = None
-        instr.mask = None
-        instr.sync = sync
-        instr.group = None
-        return instr
+        return tuple.__new__(cls, (
+            _VLOAD, width, None, _check_addr(addr), None, None, None,
+            None, None, sync, None,
+        ))
 
     @classmethod
     def vstore(
@@ -327,19 +250,10 @@ class Instr:
         """Contiguous SIMD store of ``values`` under ``mask``."""
         values = tuple(values)
         mask = _check_mask(mask, len(values))
-        instr = cls.__new__(cls)
-        instr.kind = Kind.VSTORE
-        instr.count = 1
-        instr.fn = None
-        instr.addr = _check_addr(addr)
-        instr.value = None
-        instr.base = None
-        instr.indices = None
-        instr.values = values
-        instr.mask = mask
-        instr.sync = sync
-        instr.group = None
-        return instr
+        return tuple.__new__(cls, (
+            _VSTORE, 1, None, _check_addr(addr), None, None, None,
+            values, mask, sync, None,
+        ))
 
     @classmethod
     def vgather(
@@ -352,19 +266,10 @@ class Instr:
         """Indexed SIMD load: lane i reads ``base[indices[i]]``."""
         indices = _check_indices(indices)
         mask = _check_mask(mask, len(indices))
-        instr = cls.__new__(cls)
-        instr.kind = Kind.VGATHER
-        instr.count = 1
-        instr.fn = None
-        instr.addr = None
-        instr.value = None
-        instr.base = _check_addr(base)
-        instr.indices = indices
-        instr.values = None
-        instr.mask = mask
-        instr.sync = sync
-        instr.group = None
-        return instr
+        return tuple.__new__(cls, (
+            _VGATHER, 1, None, None, None, _check_addr(base), indices,
+            None, mask, sync, None,
+        ))
 
     @classmethod
     def vscatter(
@@ -389,19 +294,10 @@ class Instr:
                 f"{len(values)} vs {len(indices)}"
             )
         mask = _check_mask(mask, len(indices))
-        instr = cls.__new__(cls)
-        instr.kind = Kind.VSCATTER
-        instr.count = 1
-        instr.fn = None
-        instr.addr = None
-        instr.value = None
-        instr.base = _check_addr(base)
-        instr.indices = indices
-        instr.values = values
-        instr.mask = mask
-        instr.sync = sync
-        instr.group = None
-        return instr
+        return tuple.__new__(cls, (
+            _VSCATTER, 1, None, None, None, _check_addr(base), indices,
+            values, mask, sync, None,
+        ))
 
     @classmethod
     def vgatherlink(
@@ -418,19 +314,10 @@ class Instr:
         """
         indices = _check_indices(indices)
         mask = _check_mask(mask, len(indices))
-        instr = cls.__new__(cls)
-        instr.kind = Kind.VGATHERLINK
-        instr.count = 1
-        instr.fn = None
-        instr.addr = None
-        instr.value = None
-        instr.base = _check_addr(base)
-        instr.indices = indices
-        instr.values = None
-        instr.mask = mask
-        instr.sync = sync
-        instr.group = None
-        return instr
+        return tuple.__new__(cls, (
+            _VGATHERLINK, 1, None, None, None, _check_addr(base),
+            indices, None, mask, sync, None,
+        ))
 
     @classmethod
     def vscattercond(
@@ -454,36 +341,18 @@ class Instr:
                 f"{len(values)} vs {len(indices)}"
             )
         mask = _check_mask(mask, len(indices))
-        instr = cls.__new__(cls)
-        instr.kind = Kind.VSCATTERCOND
-        instr.count = 1
-        instr.fn = None
-        instr.addr = None
-        instr.value = None
-        instr.base = _check_addr(base)
-        instr.indices = indices
-        instr.values = values
-        instr.mask = mask
-        instr.sync = sync
-        instr.group = None
-        return instr
+        return tuple.__new__(cls, (
+            _VSCATTERCOND, 1, None, None, None, _check_addr(base),
+            indices, values, mask, sync, None,
+        ))
 
     @classmethod
     def barrier(cls, group: str = "all") -> "Instr":
         """Block until every thread in ``group`` arrives."""
-        instr = cls.__new__(cls)
-        instr.kind = Kind.BARRIER
-        instr.count = 1
-        instr.fn = None
-        instr.addr = None
-        instr.value = None
-        instr.base = None
-        instr.indices = None
-        instr.values = None
-        instr.mask = None
-        instr.sync = True
-        instr.group = group
-        return instr
+        return tuple.__new__(cls, (
+            _BARRIER, 1, None, None, None, None, None, None, None,
+            True, group,
+        ))
 
 
 def _check_addr(addr: int) -> int:

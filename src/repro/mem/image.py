@@ -16,7 +16,7 @@ simulated outcome is whatever the modeled hardware allows.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Optional, Sequence, Union
+from typing import Iterator, List, Optional, Sequence, Union
 
 from repro.errors import AllocationError, MemoryError_
 from repro.mem.layout import WORD_BYTES, LineGeometry, RegionMap
@@ -232,18 +232,8 @@ class ArrayView:
         return self.length
 
     def __iter__(self) -> Iterator[Number]:
-        return (self[i] for i in range(self.length))
+        return iter(self.to_list())
 
     def to_list(self) -> List[Number]:
-        """Materialize the array contents."""
-        return list(self)
-
-    def fill(self, values: Iterable[Number]) -> None:
-        """Overwrite the array with ``values`` (must match length)."""
-        values = list(values)
-        if len(values) != self.length:
-            raise MemoryError_(
-                f"fill length {len(values)} != array length {self.length}"
-            )
-        for i, value in enumerate(values):
-            self[i] = value
+        """Materialize the array contents (one slice of the image)."""
+        return self._image.load_words(self.base, self.length)

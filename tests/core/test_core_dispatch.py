@@ -1,9 +1,19 @@
 """Tests for core instruction dispatch, SMT issue, and stat attribution."""
 
+import sys
+
 import pytest
 
+from repro.core.gsu import Gsu
+from repro.core.lsu import Lsu
 from repro.errors import ProgramError
-from repro.isa.instructions import IS_COMPUTE_OP, IS_MEMORY_OP, Instr, Kind
+from repro.isa.instructions import (
+    IS_COMPUTE_OP,
+    IS_MEMORY_OP,
+    MEMORY_KINDS,
+    Instr,
+    Kind,
+)
 from repro.obs.bus import EventBus
 from repro.sim.config import MachineConfig
 from repro.sim.machine import BARRIER_RELEASE_COST, Machine
@@ -242,3 +252,52 @@ class TestAccountingRule:
             assert stats.mem_stall_cycles == 0
         assert stats.sync_instructions == (icount if sync else 0)
         assert stats.sync_cycles == (busy if sync else 0) + release
+
+
+#: The unit entry point that executes each memory kind.
+_ENTRY_POINT = {
+    Kind.LOAD: (Lsu, "load"),
+    Kind.STORE: (Lsu, "store"),
+    Kind.LL: (Lsu, "ll"),
+    Kind.SC: (Lsu, "sc"),
+    Kind.VLOAD: (Lsu, "vload"),
+    Kind.VSTORE: (Lsu, "vstore"),
+    Kind.VGATHER: (Gsu, "gather"),
+    Kind.VSCATTER: (Gsu, "scatter"),
+    Kind.VGATHERLINK: (Gsu, "gather"),
+    Kind.VSCATTERCOND: (Gsu, "scatter"),
+}
+
+
+class TestMemoryDispatch:
+    """A memory instruction reaches its unit in one frame: the
+    ``memory`` handler passes the ``Instr`` itself to the unit."""
+
+    def test_every_memory_kind_is_covered(self):
+        assert set(_ENTRY_POINT) == MEMORY_KINDS
+
+    @pytest.mark.parametrize(
+        "kind", sorted(MEMORY_KINDS), ids=lambda k: k.name
+    )
+    def test_unit_called_by_handler_with_instr(self, kind, monkeypatch):
+        unit, name = _ENTRY_POINT[kind]
+        entry = getattr(unit, name)
+        calls = []
+
+        def spy(self, *args, **kwargs):
+            calls.append((sys._getframe(1).f_code.co_name, args))
+            return entry(self, *args, **kwargs)
+
+        monkeypatch.setattr(unit, name, spy)
+        machine = single_thread_machine()
+        data = machine.image.alloc_zeros(4)
+        instr = _ONE_INSTR[kind](data.base, False)
+
+        def program(ctx):
+            yield instr
+
+        machine.add_program(program)
+        machine.run()
+        ((caller, args),) = calls
+        assert caller == "handler"
+        assert len(args) == 3 and args[0] == 0 and args[1] is instr

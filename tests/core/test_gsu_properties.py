@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from repro.core.gsu import Gsu
 from repro.core.lsu import Lsu
 from repro.core.ports import L1Port
+from repro.isa.instructions import Instr
 from repro.isa.masks import Mask
 from repro.mem.coherence import CoherenceSystem
 from repro.mem.image import MemoryImage
@@ -44,12 +45,9 @@ class TestGatherProperties:
         gsu, view, cfg, _ = make_gsu()
         mask = Mask(bits, 4)
         # warm the touched lines so the floor binds
-        gsu.gather(0, view.base, indices, Mask.all_ones(4), now=0,
-                   linked=False)
+        gsu.gather(0, Instr.vgather(view.base, indices), 0)
         start = 1000
-        (_, _), done = gsu.gather(
-            0, view.base, indices, mask, now=start, linked=False
-        )
+        done, _ = gsu.gather(0, Instr.vgather(view.base, indices, mask), start)
         floor = start + cfg.gsu_assembly_cycles + mask.popcount()
         assert done >= floor
         # all hits: completes exactly at the max(access, floor) point
@@ -60,12 +58,10 @@ class TestGatherProperties:
     def test_gather_values_match_memory(self, indices, bits):
         gsu, view, _, _ = make_gsu()
         mask = Mask(bits, 4)
-        (values, out), _ = gsu.gather(
-            0, view.base, indices, mask, now=0, linked=False
-        )
-        assert out == mask
-        for lane in mask.active_lanes():
-            assert values[lane] == indices[lane]
+        _, values = gsu.gather(0, Instr.vgather(view.base, indices, mask), 0)
+        for lane in range(4):
+            expected = indices[lane] if mask.lane(lane) else 0
+            assert values[lane] == expected
 
     @settings(**COMMON)
     @given(indices=indices4)
@@ -75,13 +71,13 @@ class TestGatherProperties:
         narrow = Mask(0b0001, 4)
         wide = Mask(0b1111, 4)
         # warm both
-        gsu_a.gather(0, view_a.base, indices, wide, 0, linked=False)
-        gsu_b.gather(0, view_b.base, indices, wide, 0, linked=False)
-        (_, _), done_narrow = gsu_a.gather(
-            0, view_a.base, indices, narrow, 1000, linked=False
+        gsu_a.gather(0, Instr.vgather(view_a.base, indices, wide), 0)
+        gsu_b.gather(0, Instr.vgather(view_b.base, indices, wide), 0)
+        done_narrow, _ = gsu_a.gather(
+            0, Instr.vgather(view_a.base, indices, narrow), 1000
         )
-        (_, _), done_wide = gsu_b.gather(
-            0, view_b.base, indices, wide, 1000, linked=False
+        done_wide, _ = gsu_b.gather(
+            0, Instr.vgather(view_b.base, indices, wide), 1000
         )
         assert done_wide >= done_narrow
 
@@ -95,12 +91,12 @@ class TestScatterProperties:
         gsu, view, _, stats = make_gsu()
         mask = Mask(bits, 4)
         before = {i: view[i] for i in set(indices)}
-        (values, got), _ = gsu.gather(
-            0, view.base, indices, mask, now=0, linked=True
+        _, (values, got) = gsu.gather(
+            0, Instr.vgatherlink(view.base, indices, mask), 0
         )
         newvals = tuple(v + 100 for v in values)
-        ok, _ = gsu.scatter(
-            0, view.base, indices, newvals, got, now=10, conditional=True
+        _, ok = gsu.scatter(
+            0, Instr.vscattercond(view.base, indices, newvals, got), 10
         )
         # Exactly one winner per distinct word among active lanes.
         winners_by_word = {}
@@ -118,6 +114,6 @@ class TestScatterProperties:
         gsu_on, view_on, _, stats_on = make_gsu()
         gsu_off, view_off, _, stats_off = make_gsu(gsu_combine_lines=False)
         mask = Mask.all_ones(4)
-        gsu_on.gather(0, view_on.base, indices, mask, 0, linked=False)
-        gsu_off.gather(0, view_off.base, indices, mask, 0, linked=False)
+        gsu_on.gather(0, Instr.vgather(view_on.base, indices, mask), 0)
+        gsu_off.gather(0, Instr.vgather(view_off.base, indices, mask), 0)
         assert stats_on.l1_accesses <= stats_off.l1_accesses

@@ -5,6 +5,7 @@ import pytest
 from repro.core.gsu import Gsu
 from repro.core.lsu import Lsu
 from repro.core.ports import L1Port
+from repro.isa.instructions import Instr
 from repro.isa.masks import Mask
 from repro.mem.coherence import CoherenceSystem
 from repro.mem.image import MemoryImage
@@ -41,23 +42,23 @@ class TestLsu:
         lsu, _, cfg, _, _, image = make_units()
         view = image.alloc_array([7.0])
         # warm the line
-        lsu.load(0, view.base, now=0)
-        value, done = lsu.load(0, view.base, now=100)
+        lsu.load(0, Instr.load(view.base), 0)
+        done, value = lsu.load(0, Instr.load(view.base), 100)
         assert value == 7.0
         assert done == 100 + cfg.l1_hit_latency
 
     def test_store_is_write_buffered(self):
         lsu, _, cfg, _, _, image = make_units()
         view = image.alloc_zeros(1)
-        done = lsu.store(0, view.base, 3.0, now=0)
+        done, _ = lsu.store(0, Instr.store(view.base, 3.0), 0)
         assert done == 1  # thread only waits for the port slot
         assert view[0] == 3.0
 
     def test_ll_sc_roundtrip(self):
         lsu, _, _, stats, _, image = make_units()
         view = image.alloc_array([10])
-        value, _ = lsu.ll(0, view.base, now=0)
-        ok, _ = lsu.sc(0, view.base, value + 1, now=5)
+        _, value = lsu.ll(0, Instr.ll(view.base), 0)
+        _, ok = lsu.sc(0, Instr.sc(view.base, value + 1), 5)
         assert ok and view[0] == 11
         assert stats.ll_count == 1 and stats.sc_count == 1
         assert stats.sc_failures == 0
@@ -65,18 +66,18 @@ class TestLsu:
     def test_failed_sc_does_not_write(self):
         lsu, _, _, stats, coherence, image = make_units()
         view = image.alloc_array([10])
-        lsu.ll(0, view.base, now=0)
+        lsu.ll(0, Instr.ll(view.base), 0)
         coherence.write(1, 0, view.base, now=1)  # remote write
-        ok, _ = lsu.sc(0, view.base, 99, now=2)
+        _, ok = lsu.sc(0, Instr.sc(view.base, 99), 2)
         assert not ok and view[0] == 10
         assert stats.sc_failures == 1
 
     def test_vload_within_line_is_single_access(self):
         lsu, _, cfg, stats, _, image = make_units()
         view = image.alloc_array([1, 2, 3, 4])
-        lsu.load(0, view.base, now=0)  # warm
+        lsu.load(0, Instr.load(view.base), 0)  # warm
         before = stats.l1_accesses
-        values, done = lsu.vload(0, view.base, 4, now=50)
+        done, values = lsu.vload(0, Instr.vload(view.base, 4), 50)
         assert values == (1, 2, 3, 4)
         assert stats.l1_accesses - before == 1
         assert done == 50 + cfg.l1_hit_latency
@@ -86,20 +87,22 @@ class TestLsu:
         base = image.alloc(128)
         addr = base + 56  # words at offsets 56,60,64,68: spans 2 lines
         before = stats.l1_accesses
-        lsu.vload(0, addr, 4, now=0)
+        lsu.vload(0, Instr.vload(addr, 4), 0)
         assert stats.l1_accesses - before == 2
 
     def test_vstore_masked(self):
         lsu, _, _, _, _, image = make_units()
         view = image.alloc_array([0, 0, 0, 0])
-        lsu.vstore(0, view.base, (1, 2, 3, 4), Mask(0b0101, 4), now=0)
+        instr = Instr.vstore(view.base, (1, 2, 3, 4), Mask(0b0101, 4))
+        lsu.vstore(0, instr, 0)
         assert view.to_list() == [1, 0, 3, 0]
 
     def test_vstore_empty_mask_is_noop(self):
         lsu, _, _, stats, _, image = make_units()
         view = image.alloc_array([5])
         before = stats.l1_accesses
-        done = lsu.vstore(0, view.base, (9,), Mask.zeros(1), now=0)
+        instr = Instr.vstore(view.base, (9,), Mask.zeros(1))
+        done, _ = lsu.vstore(0, instr, 0)
         assert view[0] == 5
         assert stats.l1_accesses == before
         assert done == 1
@@ -110,11 +113,8 @@ class TestGsuTiming:
         _, gsu, cfg, _, _, image = make_units()
         view = image.alloc_array(list(range(16)))
         indices = [0, 1, 2, 3]  # same line: warm it first
-        gsu.gather(0, view.base, indices, Mask.all_ones(4), now=0,
-                   linked=False)
-        (_, _), done = gsu.gather(
-            0, view.base, indices, Mask.all_ones(4), now=100, linked=False
-        )
+        gsu.gather(0, Instr.vgather(view.base, indices), 0)
+        done, _ = gsu.gather(0, Instr.vgather(view.base, indices), 100)
         # one line, all hits: addr-gen 4 cycles + hit + assembly
         assert done <= 100 + cfg.min_glsc_latency + cfg.l1_hit_latency
 
@@ -123,9 +123,7 @@ class TestGsuTiming:
         _, gsu, cfg, _, _, image = make_units()
         base = image.alloc(4096)
         spread = [0, 16, 32, 48]  # four distinct lines, all cold
-        (_, _), done = gsu.gather(
-            0, base, spread, Mask.all_ones(4), now=0, linked=False
-        )
+        done, _ = gsu.gather(0, Instr.vgather(base, spread), 0)
         one_miss = cfg.l1_hit_latency + cfg.l2_latency + cfg.mem_latency
         # Serial misses would cost ~4x one_miss; overlap keeps it near 1x.
         assert done < 2 * one_miss
@@ -133,13 +131,12 @@ class TestGsuTiming:
     def test_addr_generation_serializes_across_threads(self):
         _, gsu, cfg, _, _, image = make_units()
         view = image.alloc_array(list(range(64)))
-        m = Mask.all_ones(4)
-        gsu.gather(0, view.base, [0, 1, 2, 3], m, now=0, linked=False)  # warm
-        (_, _), done_a = gsu.gather(0, view.base, [0, 1, 2, 3], m, now=100,
-                                    linked=False)
+        first = Instr.vgather(view.base, [0, 1, 2, 3])
+        gsu.gather(0, first, 0)  # warm
+        done_a, _ = gsu.gather(0, first, 100)
         # Second gather issued at the same cycle queues behind addr-gen.
-        (_, _), done_b = gsu.gather(1, view.base, [4, 5, 6, 7], m, now=100,
-                                    linked=False)
+        second = Instr.vgather(view.base, [4, 5, 6, 7])
+        done_b, _ = gsu.gather(1, second, 100)
         assert done_b >= done_a + 4  # queued behind 4 addr-gen cycles
 
 
@@ -147,23 +144,20 @@ class TestGsuCombining:
     def test_same_line_combined_one_access(self):
         _, gsu, _, stats, _, image = make_units()
         view = image.alloc_array(list(range(16)))
-        gsu.gather(0, view.base, [0, 1, 2, 3], Mask.all_ones(4), now=0,
-                   linked=False)
+        gsu.gather(0, Instr.vgather(view.base, [0, 1, 2, 3]), 0)
         assert stats.l1_accesses == 1
 
     def test_combining_savings_counted_for_sync_ops(self):
         _, gsu, _, stats, _, image = make_units()
         view = image.alloc_array(list(range(16)))
-        gsu.gather(0, view.base, [0, 1, 2, 3], Mask.all_ones(4), now=0,
-                   linked=True)
+        gsu.gather(0, Instr.vgatherlink(view.base, [0, 1, 2, 3]), 0)
         assert stats.l1_accesses_saved_by_combining == 3
         assert stats.l1_sync_accesses == 1
 
     def test_combining_disabled_charges_per_lane(self):
         _, gsu, _, stats, _, image = make_units(gsu_combine_lines=False)
         view = image.alloc_array(list(range(16)))
-        gsu.gather(0, view.base, [0, 1, 2, 3], Mask.all_ones(4), now=0,
-                   linked=False)
+        gsu.gather(0, Instr.vgather(view.base, [0, 1, 2, 3]), 0)
         assert stats.l1_accesses == 4
         assert stats.l1_accesses_saved_by_combining == 0
 
@@ -173,12 +167,14 @@ class TestGsuGlsc:
         _, gsu, _, stats, _, image = make_units()
         view = image.alloc_array([10, 20, 30, 40])
         m = Mask.all_ones(4)
-        (values, got), _ = gsu.gather(0, view.base, [0, 1, 2, 3], m, now=0,
-                                      linked=True)
+        _, (values, got) = gsu.gather(
+            0, Instr.vgatherlink(view.base, [0, 1, 2, 3], m), 0
+        )
         assert values == (10, 20, 30, 40) and got.all()
         newvals = tuple(v + 1 for v in values)
-        ok, _ = gsu.scatter(0, view.base, [0, 1, 2, 3], newvals, got,
-                            now=10, conditional=True)
+        _, ok = gsu.scatter(
+            0, Instr.vscattercond(view.base, [0, 1, 2, 3], newvals, got), 10
+        )
         assert ok.all()
         assert view.to_list() == [11, 21, 31, 41]
         assert stats.scattercond_successes == 4
@@ -189,11 +185,13 @@ class TestGsuGlsc:
         view = image.alloc_array([0, 0])
         m = Mask.all_ones(4)
         indices = [0, 0, 0, 1]  # three lanes alias word 0
-        (values, got), _ = gsu.gather(0, view.base, indices, m, now=0,
-                                      linked=True)
+        _, (values, got) = gsu.gather(
+            0, Instr.vgatherlink(view.base, indices, m), 0
+        )
         assert got.all()  # default: alias resolved at scatter time
-        ok, _ = gsu.scatter(0, view.base, indices, (7, 8, 9, 5), got,
-                            now=10, conditional=True)
+        _, ok = gsu.scatter(
+            0, Instr.vscattercond(view.base, indices, (7, 8, 9, 5), got), 10
+        )
         assert ok.popcount() == 2  # one winner for word 0, plus lane 3
         assert ok.lane(0) and not ok.lane(1) and not ok.lane(2) and ok.lane(3)
         assert view[0] == 7  # lowest lane wins
@@ -205,20 +203,23 @@ class TestGsuGlsc:
         view = image.alloc_array([0, 0])
         m = Mask.all_ones(4)
         indices = [0, 0, 1, 1]
-        (values, got), _ = gsu.gather(0, view.base, indices, m, now=0,
-                                      linked=True)
+        _, (values, got) = gsu.gather(
+            0, Instr.vgatherlink(view.base, indices, m), 0
+        )
         assert got == Mask(0b0101, 4)
         assert stats.glsc_element_failures["alias"] == 2
-        ok, _ = gsu.scatter(0, view.base, indices, (1, 2, 3, 4), got,
-                            now=10, conditional=True)
+        _, ok = gsu.scatter(
+            0, Instr.vscattercond(view.base, indices, (1, 2, 3, 4), got), 10
+        )
         assert ok == got  # winners all succeed
 
     def test_masked_lanes_ignored(self):
         _, gsu, _, stats, _, image = make_units()
         view = image.alloc_array([10, 20, 30, 40])
         m = Mask(0b1010, 4)
-        (values, got), _ = gsu.gather(0, view.base, [0, 1, 2, 3], m, now=0,
-                                      linked=True)
+        _, (values, got) = gsu.gather(
+            0, Instr.vgatherlink(view.base, [0, 1, 2, 3], m), 0
+        )
         assert got == m
         assert stats.gatherlink_elements == 2
 
@@ -228,16 +229,19 @@ class TestGsuGlsc:
         _, gsu, _, stats, _, image = make_units()
         view = image.alloc_array([0, 0, 0, 0])
         m = Mask.all_ones(4)
-        (_, got), _ = gsu.gather(0, view.base, [0, 1, 2, 3], m, now=0,
-                                 linked=True)
+        _, (_, got) = gsu.gather(
+            0, Instr.vgatherlink(view.base, [0, 1, 2, 3], m), 0
+        )
         subset = Mask(0b0011, 4)
-        gsu.scatter(0, view.base, [0, 1, 2, 3], (1, 1, 1, 1), subset,
-                    now=10, conditional=True)
+        instr = Instr.vscattercond(
+            view.base, [0, 1, 2, 3], (1, 1, 1, 1), subset
+        )
+        gsu.scatter(0, instr, 10)
         assert stats.glsc_failure_rate == pytest.approx(0.5)
 
     def test_plain_scatter_last_lane_wins(self):
         _, gsu, _, _, _, image = make_units()
         view = image.alloc_array([0])
-        gsu.scatter(0, view.base, [0, 0, 0, 0], (1, 2, 3, 4),
-                    Mask.all_ones(4), now=0, conditional=False)
+        instr = Instr.vscatter(view.base, [0, 0, 0, 0], (1, 2, 3, 4))
+        gsu.scatter(0, instr, 0)
         assert view[0] == 4

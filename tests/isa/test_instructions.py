@@ -71,6 +71,75 @@ class TestInstrConstruction:
         assert "vgatherlink" in repr(Instr.vgatherlink(0x40, [0]))
 
 
+def _fn():
+    return 0
+
+
+_M2 = Mask(0b10, 2)
+
+#: One constructor call per kind with the record it must build, fields
+#: in declaration order: kind, count, fn, addr, value, base, indices,
+#: values, mask, sync, group.
+_FIELDS = [
+    (Instr.alu(3),
+     (Kind.ALU, 3, None, None, None, None, None, None, None, False, None)),
+    (Instr.valu(_fn, 2, sync=True),
+     (Kind.VALU, 2, _fn, None, None, None, None, None, None, True, None)),
+    (Instr.load(0x40),
+     (Kind.LOAD, 1, None, 0x40, None, None, None, None, None, False, None)),
+    (Instr.store(0x44, 7),
+     (Kind.STORE, 1, None, 0x44, 7, None, None, None, None, False, None)),
+    (Instr.ll(0x48),
+     (Kind.LL, 1, None, 0x48, None, None, None, None, None, True, None)),
+    (Instr.sc(0x48, 9),
+     (Kind.SC, 1, None, 0x48, 9, None, None, None, None, True, None)),
+    (Instr.vload(0x80, 4),
+     (Kind.VLOAD, 4, None, 0x80, None, None, None, None, None, False, None)),
+    (Instr.vstore(0x80, [1, 2], _M2),
+     (Kind.VSTORE, 1, None, 0x80, None, None, None, (1, 2), _M2, False,
+      None)),
+    (Instr.vgather(0x100, [3, 4], _M2),
+     (Kind.VGATHER, 1, None, None, None, 0x100, (3, 4), None, _M2, False,
+      None)),
+    (Instr.vscatter(0x100, [3, 4], [5, 6]),
+     (Kind.VSCATTER, 1, None, None, None, 0x100, (3, 4), (5, 6),
+      Mask.all_ones(2), False, None)),
+    (Instr.vgatherlink(0x100, [3, 4]),
+     (Kind.VGATHERLINK, 1, None, None, None, 0x100, (3, 4), None,
+      Mask.all_ones(2), True, None)),
+    (Instr.vscattercond(0x100, [3, 4], [5, 6], _M2),
+     (Kind.VSCATTERCOND, 1, None, None, None, 0x100, (3, 4), (5, 6), _M2,
+      True, None)),
+    (Instr.barrier("g"),
+     (Kind.BARRIER, 1, None, None, None, None, None, None, None, True, "g")),
+]
+
+
+class TestInstrRecord:
+    def test_one_constructor_per_kind(self):
+        assert [instr.kind for instr, _ in _FIELDS] == list(Kind)
+
+    @pytest.mark.parametrize(
+        "instr,fields", _FIELDS, ids=[k.name for k in Kind]
+    )
+    def test_fields_in_order(self, instr, fields):
+        assert type(instr) is Instr
+        assert tuple(instr) == fields
+
+    def test_fields_are_read_only(self):
+        alu = Instr.alu()
+        with pytest.raises(AttributeError):
+            alu.count = 5
+        with pytest.raises(AttributeError):
+            Instr.load(64).addr = 128
+        assert alu.count == 1
+        assert Instr.alu() is alu
+
+    def test_keyword_construction_defaults(self):
+        barrier = Instr(Kind.BARRIER, sync=True, group="all")
+        assert tuple(barrier) == tuple(Instr.barrier("all"))
+
+
 class TestKindSets:
     def test_gsu_kinds_are_memory_kinds(self):
         assert GSU_KINDS <= MEMORY_KINDS

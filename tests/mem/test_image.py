@@ -85,16 +85,21 @@ class TestArrayView:
         view[2] = 9
         assert image.load_word(view.base + 8) == 9
 
-    def test_fill_length_checked(self, image):
-        view = image.alloc_zeros(2)
-        with pytest.raises(MemoryError_):
-            view.fill([1, 2, 3])
-        view.fill([4, 5])
-        assert view.to_list() == [4, 5]
-
     def test_iter(self, image):
         view = image.alloc_array([1, 2])
         assert list(view) == [1, 2]
+
+    def test_to_list_matches_per_index_reads(self, image):
+        array = image.alloc_array([4, -1, 2.5, 8], align=4)
+        zeros = image.alloc_zeros(3, align=4)
+        zeros[1] = 6
+        empty = image.alloc_array([], align=4)
+        for view in (array, zeros, empty):
+            assert view.to_list() == [view[i] for i in range(len(view))]
+            assert list(view) == view.to_list()
+        assert array.to_list() == [4, -1, 2.5, 8]
+        assert zeros.to_list() == [0, 6, 0]
+        assert empty.to_list() == []
 
     def test_alloc_array_writes_only_its_own_words(self, image):
         image.alloc_zeros(5)
