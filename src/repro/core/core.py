@@ -61,7 +61,6 @@ class HwThread:
         "stats",
         "state",
         "ready_at",
-        "barrier_group",
         "barrier_since",
         "handlers",
         "_pending_result",
@@ -83,7 +82,6 @@ class HwThread:
         self.stats = stats
         self.state = T_READY
         self.ready_at = 0
-        self.barrier_group: Optional[str] = None
         self.barrier_since = 0
         self.handlers: List[Handler] = []
         self._pending_result: Any = None
@@ -215,7 +213,6 @@ class Core:
                 thread._pending_result = result
                 if kind == _OP_BARRIER:
                     thread.state = T_BARRIER
-                    thread.barrier_group = instr.group
                     thread.barrier_since = now
                     self.barrier_arrivals.append(thread)
                     continue

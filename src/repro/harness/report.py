@@ -1,4 +1,4 @@
-"""ASCII rendering of the experiment results, formatted like the paper.
+"""Plain-text tables of the experiment results, formatted like the paper.
 
 Every ``render_*`` function takes the corresponding
 :mod:`repro.harness.experiments` result and returns a string; the CLI
@@ -21,7 +21,6 @@ from repro.harness.experiments import (
 from repro.sim.config import CONFIG_NAMES
 
 __all__ = [
-    "ascii_bars",
     "render_table1",
     "render_table3",
     "render_fig5a",
@@ -30,32 +29,7 @@ __all__ = [
     "render_fig7",
     "render_fig8",
     "render_table4",
-    "chart_fig5a",
-    "chart_fig7",
-    "chart_fig8",
 ]
-
-
-def ascii_bars(
-    items: Sequence, width: int = 46, unit: str = ""
-) -> str:
-    """Horizontal ASCII bar chart from (label, value) pairs.
-
-    The terminal stand-in for the paper's bar figures; bars scale to
-    the maximum value.
-    """
-    items = list(items)
-    if not items:
-        return "(no data)"
-    peak = max(value for _, value in items) or 1.0
-    label_width = max(len(str(label)) for label, _ in items)
-    lines = []
-    for label, value in items:
-        bar = "#" * max(int(round(width * value / peak)), 0)
-        lines.append(
-            f"{str(label).ljust(label_width)} | {bar} {value:.2f}{unit}"
-        )
-    return "\n".join(lines)
 
 
 def _table(header: Sequence[str], rows: List[Sequence[str]]) -> str:
@@ -170,45 +144,6 @@ def render_fig8(rows: List[Fig8Row]) -> str:
     return (
         "Figure 8: execution-time ratio Base/GLSC at 4x4\n"
         + _table(header, body)
-    )
-
-
-def chart_fig5a(rows: List[Fig5Row]) -> str:
-    """Figure 5(a) as a bar chart (percent of time in sync ops)."""
-    return (
-        "Figure 5(a) — synchronization time share (1x1, 1-wide GLSC)\n"
-        + ascii_bars(
-            [
-                (f"{r.kernel.upper()}-{r.dataset}", r.sync_percent)
-                for r in rows
-            ],
-            unit="%",
-        )
-    )
-
-
-def chart_fig7(rows: List[Fig7Row]) -> str:
-    """Figure 7 as a bar chart (Base/GLSC ratio per scenario)."""
-    items = []
-    for row in rows:
-        items.append((f"{row.scenario} (4-wide)", row.ratio_4wide))
-        items.append((f"{row.scenario} (16-wide)", row.ratio_16wide))
-    return "Figure 7 — Base/GLSC ratio by scenario\n" + ascii_bars(items, unit="x")
-
-
-def chart_fig8(rows: List[Fig8Row]) -> str:
-    """Figure 8 as a bar chart (Base/GLSC ratio per width)."""
-    items = []
-    for row in rows:
-        for width in sorted(row.ratios):
-            items.append(
-                (
-                    f"{row.kernel.upper()}-{row.dataset} W{width}",
-                    row.ratios[width],
-                )
-            )
-    return "Figure 8 — Base/GLSC ratio by SIMD width (4x4)\n" + ascii_bars(
-        items, unit="x"
     )
 
 

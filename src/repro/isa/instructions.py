@@ -131,7 +131,7 @@ class Instr(NamedTuple):
     ``kind``; ``count`` (compute ops, or the ``vload`` width); ``fn``
     (``valu``); ``addr`` and ``value`` (scalar and contiguous access);
     ``base``, ``indices`` and ``values`` (indexed access; ``vstore``
-    also uses ``values``); ``mask``; ``sync``; ``group`` (barrier).
+    also uses ``values``); ``mask``; ``sync``.
     """
 
     kind: Kind
@@ -144,7 +144,6 @@ class Instr(NamedTuple):
     values: Optional[Tuple] = None
     mask: Optional[Mask] = None
     sync: bool = False
-    group: Optional[str] = None
 
     def __repr__(self) -> str:
         parts = [self.kind.name.lower()]
@@ -174,8 +173,7 @@ class Instr(NamedTuple):
         if count < 1:
             raise IsaError(f"alu count must be >= 1, got {count}")
         instr = tuple.__new__(cls, (
-            _ALU, count, None, None, None, None, None, None, None,
-            sync, None,
+            _ALU, count, None, None, None, None, None, None, None, sync,
         ))
         _ALU_INTERNED[(count, sync)] = instr
         return instr
@@ -193,8 +191,7 @@ class Instr(NamedTuple):
         if not callable(fn):
             raise IsaError("valu requires a callable")
         return tuple.__new__(cls, (
-            _VALU, count, fn, None, None, None, None, None, None,
-            sync, None,
+            _VALU, count, fn, None, None, None, None, None, None, sync,
         ))
 
     @classmethod
@@ -202,7 +199,7 @@ class Instr(NamedTuple):
         """Scalar word load."""
         return tuple.__new__(cls, (
             _LOAD, 1, None, _check_addr(addr), None, None, None, None,
-            None, sync, None,
+            None, sync,
         ))
 
     @classmethod
@@ -210,7 +207,7 @@ class Instr(NamedTuple):
         """Scalar word store."""
         return tuple.__new__(cls, (
             _STORE, 1, None, _check_addr(addr), value, None, None, None,
-            None, sync, None,
+            None, sync,
         ))
 
     @classmethod
@@ -218,7 +215,7 @@ class Instr(NamedTuple):
         """Scalar load-linked; sets this thread's reservation."""
         return tuple.__new__(cls, (
             _LL, 1, None, _check_addr(addr), None, None, None, None,
-            None, sync, None,
+            None, sync,
         ))
 
     @classmethod
@@ -226,7 +223,7 @@ class Instr(NamedTuple):
         """Scalar store-conditional; result is a success boolean."""
         return tuple.__new__(cls, (
             _SC, 1, None, _check_addr(addr), value, None, None, None,
-            None, sync, None,
+            None, sync,
         ))
 
     @classmethod
@@ -236,7 +233,7 @@ class Instr(NamedTuple):
             raise IsaError(f"vload width must be >= 1, got {width}")
         return tuple.__new__(cls, (
             _VLOAD, width, None, _check_addr(addr), None, None, None,
-            None, None, sync, None,
+            None, None, sync,
         ))
 
     @classmethod
@@ -252,7 +249,7 @@ class Instr(NamedTuple):
         mask = _check_mask(mask, len(values))
         return tuple.__new__(cls, (
             _VSTORE, 1, None, _check_addr(addr), None, None, None,
-            values, mask, sync, None,
+            values, mask, sync,
         ))
 
     @classmethod
@@ -268,7 +265,7 @@ class Instr(NamedTuple):
         mask = _check_mask(mask, len(indices))
         return tuple.__new__(cls, (
             _VGATHER, 1, None, None, None, _check_addr(base), indices,
-            None, mask, sync, None,
+            None, mask, sync,
         ))
 
     @classmethod
@@ -296,7 +293,7 @@ class Instr(NamedTuple):
         mask = _check_mask(mask, len(indices))
         return tuple.__new__(cls, (
             _VSCATTER, 1, None, None, None, _check_addr(base), indices,
-            values, mask, sync, None,
+            values, mask, sync,
         ))
 
     @classmethod
@@ -316,7 +313,7 @@ class Instr(NamedTuple):
         mask = _check_mask(mask, len(indices))
         return tuple.__new__(cls, (
             _VGATHERLINK, 1, None, None, None, _check_addr(base),
-            indices, None, mask, sync, None,
+            indices, None, mask, sync,
         ))
 
     @classmethod
@@ -343,15 +340,14 @@ class Instr(NamedTuple):
         mask = _check_mask(mask, len(indices))
         return tuple.__new__(cls, (
             _VSCATTERCOND, 1, None, None, None, _check_addr(base),
-            indices, values, mask, sync, None,
+            indices, values, mask, sync,
         ))
 
     @classmethod
-    def barrier(cls, group: str = "all") -> "Instr":
-        """Block until every thread in ``group`` arrives."""
+    def barrier(cls) -> "Instr":
+        """Block until every live thread arrives."""
         return tuple.__new__(cls, (
-            _BARRIER, 1, None, None, None, None, None, None, None,
-            True, group,
+            _BARRIER, 1, None, None, None, None, None, None, None, True,
         ))
 
 

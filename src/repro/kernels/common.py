@@ -10,6 +10,8 @@ every benchmark uses identical atomic-operation instruction counts:
 * :func:`glsc_vector_update` — the GLSC reduction loop (Figure 3A);
 * :func:`vlock` / :func:`vunlock` — the GLSC vector-lock macros
   (Figure 3B);
+* :func:`glsc_paired_lock_apply` — the GLSC two-lock critical section
+  GPS and MFP run over each SIMD group;
 * :class:`KernelBase` — the harness contract each benchmark implements.
 
 Use them with ``yield from`` inside a kernel program.
@@ -33,7 +35,6 @@ __all__ = [
     "scalar_atomic_update",
     "scalar_lock_acquire",
     "scalar_lock_release",
-    "scalar_paired_lock_apply",
     "glsc_vector_update",
     "glsc_paired_lock_apply",
     "vlock",
@@ -155,30 +156,6 @@ def vunlock(ctx: ThreadCtx, lock_base: int, indices: Sequence[int], mask: Mask):
         return
     zeros = (0,) * mask.width
     yield ctx.vscatter(lock_base, indices, zeros, mask, sync=True)
-
-
-def scalar_paired_lock_apply(
-    ctx: ThreadCtx,
-    lock_base: int,
-    a: int,
-    b: int,
-    work,
-):
-    """Base two-lock critical section over a single element.
-
-    Acquires the locks for objects ``a`` and ``b`` in index order
-    (global ordering prevents deadlock), runs ``work`` (a generator),
-    and releases in reverse order.  The shipped GPS/MFP Base variants
-    use the stronger whole-vector sorted acquisition instead; this
-    helper remains the canonical scalar pattern (used by the
-    ``vector_locks`` example and available to client kernels).
-    """
-    first, second = (a, b) if a < b else (b, a)
-    yield from scalar_lock_acquire(ctx, lock_base + first * 4)
-    yield from scalar_lock_acquire(ctx, lock_base + second * 4)
-    yield from work()
-    yield from scalar_lock_release(ctx, lock_base + second * 4)
-    yield from scalar_lock_release(ctx, lock_base + first * 4)
 
 
 def glsc_paired_lock_apply(

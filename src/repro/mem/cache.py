@@ -106,8 +106,8 @@ class L1Cache:
         self.n_sets = n_sets
         self.assoc = assoc
         self.geometry = geometry
-        # Validates the power-of-two requirement once, up front.
-        geometry.set_index(0, n_sets)
+        # n_sets is a power of two (MachineConfig checks it): a mask
+        # picks the set.
         self._set_shift = geometry.line_bytes.bit_length() - 1
         self._set_mask = n_sets - 1
         self._sets: List[Dict[int, L1Line]] = [{} for _ in range(n_sets)]

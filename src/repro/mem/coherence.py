@@ -18,6 +18,10 @@ core-side units (LSU and GSU) invoke:
 ``scalar_ll/scalar_sc``  the Base architecture's primitives (Section 2.3)
 =====================  ====================================================
 
+Addresses arrive checked: the ``Instr`` constructors reject negative
+operands, and the memory image rejects an unaligned or out-of-range
+word within the same instruction, so no transaction re-checks them.
+
 Latency model (Table 1): 3-cycle L1 hit; +12 to reach the L2
 bank/directory; +12 for any remote-L1 forward or invalidation hop;
 +280 for main memory.  Transactions are resolved synchronously — the
@@ -39,7 +43,7 @@ from __future__ import annotations
 import random
 from typing import Dict, Optional, Tuple
 
-from repro.errors import AlignmentError, SimulationError
+from repro.errors import SimulationError
 from repro.core.glsc import GlscTracker, make_tracker
 from repro.mem.cache import L1Cache, L1Line
 from repro.mem.messages import Inv, PutM, PutS
@@ -160,8 +164,6 @@ class CoherenceSystem:
         sync: bool = False,
     ) -> AccessResult:
         """Load transaction: line ends up S (or stays M) in ``core``'s L1."""
-        if addr < 0:
-            raise AlignmentError(f"negative address {addr:#x}")
         line_addr = addr - addr % self._line_bytes
         stats = self.stats
         stats.l1_accesses += 1
@@ -199,8 +201,6 @@ class CoherenceSystem:
         (a store-conditional's own reservation must be consumed by the
         caller *before* invoking this).
         """
-        if addr < 0:
-            raise AlignmentError(f"negative address {addr:#x}")
         line_addr = addr - addr % self._line_bytes
         stats = self.stats
         stats.l1_accesses += 1
@@ -233,8 +233,6 @@ class CoherenceSystem:
           ``glsc_fail_on_miss`` chose to fail it rather than wait
           (freedom (c)); the fill still happens so a retry will hit.
         """
-        if addr < 0:
-            raise AlignmentError(f"negative address {addr:#x}")
         line_addr = addr - addr % self._line_bytes
         self.stats.l1_accesses += 1
         self.stats.l1_sync_accesses += 1
@@ -313,8 +311,6 @@ class CoherenceSystem:
         GLSC entry is consumed, the line is brought to M, and all other
         reservations on the line are destroyed.
         """
-        if addr < 0:
-            raise AlignmentError(f"negative address {addr:#x}")
         line_addr = addr - addr % self._line_bytes
         self.stats.l1_accesses += 1
         self.stats.l1_sync_accesses += 1

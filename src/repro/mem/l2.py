@@ -61,9 +61,8 @@ class L2Cache:
         self.assoc = assoc
         self.n_banks = n_banks
         self.geometry = geometry
-        # Validates the power-of-two requirements once, up front.
-        geometry.set_index(0, n_sets)
-        geometry.bank_index(0, n_banks)
+        # Set and bank counts are powers of two (MachineConfig checks
+        # them): masks pick the set and the bank.
         self._set_shift = geometry.line_bytes.bit_length() - 1
         self._set_mask = n_sets - 1
         self._bank_mask = n_banks - 1

@@ -6,7 +6,7 @@ the number of 32-bit elements.  Cache lines are ``line_bytes`` wide
 (64 B in the paper's configuration, Table 1).
 
 All addresses in the simulator are byte addresses; loads/stores must be
-word-aligned.  :class:`LineGeometry` centralizes line/set/bank math so
+word-aligned.  :class:`LineGeometry` centralizes the line arithmetic so
 the caches, directory, and GSU all agree on it.
 """
 
@@ -129,43 +129,8 @@ class LineGeometry:
         if addr % WORD_BYTES:
             raise AlignmentError(f"address {addr:#x} is not word-aligned")
 
-    def word_index(self, addr: int) -> int:
-        """Word number of a byte address."""
-        self.check_word_aligned(addr)
-        return addr // WORD_BYTES
-
     def line_addr(self, addr: int) -> int:
         """Base byte address of the line containing ``addr``."""
         if addr < 0:
             raise AlignmentError(f"negative address {addr:#x}")
         return addr - addr % self.line_bytes
-
-    def line_offset(self, addr: int) -> int:
-        """Byte offset of ``addr`` within its line."""
-        if addr < 0:
-            raise AlignmentError(f"negative address {addr:#x}")
-        return addr % self.line_bytes
-
-    def same_line(self, a: int, b: int) -> bool:
-        """Whether two byte addresses fall in the same cache line."""
-        return self.line_addr(a) == self.line_addr(b)
-
-    def lines_spanned(self, addr: int, nbytes: int) -> int:
-        """Number of distinct lines touched by ``nbytes`` starting at ``addr``."""
-        if nbytes <= 0:
-            raise AlignmentError(f"nbytes must be positive, got {nbytes}")
-        first = self.line_addr(addr)
-        last = self.line_addr(addr + nbytes - 1)
-        return (last - first) // self.line_bytes + 1
-
-    def set_index(self, addr: int, n_sets: int) -> int:
-        """Cache set index for a set-associative cache with ``n_sets`` sets."""
-        if not _is_pow2(n_sets):
-            raise ConfigError(f"n_sets must be a power of two, got {n_sets}")
-        return (self.line_addr(addr) // self.line_bytes) % n_sets
-
-    def bank_index(self, addr: int, n_banks: int) -> int:
-        """L2 bank index: lines are interleaved across banks."""
-        if not _is_pow2(n_banks):
-            raise ConfigError(f"n_banks must be a power of two, got {n_banks}")
-        return (self.line_addr(addr) // self.line_bytes) % n_banks

@@ -130,6 +130,10 @@ class MachineConfig:
             raise ConfigError(
                 "l2_size_bytes must be a multiple of line_bytes * l2_assoc"
             )
+        for name in ("l1_sets", "l2_sets"):
+            value = getattr(self, name)
+            if not _is_pow2(value):
+                raise ConfigError(f"{name} must be a power of two, got {value}")
         for name in (
             "l1_hit_latency",
             "l2_latency",

@@ -358,7 +358,6 @@ class ExecutorCounters:
     """Where an executor's results came from (for reporting)."""
 
     simulated: int = 0     # fresh simulations by this executor
-    memo_hits: int = 0     # served from the in-memory memo
     store_hits: int = 0    # served from the on-disk store
     queued: int = 0        # simulated by detached queue workers
 
@@ -504,7 +503,6 @@ class Executor:
                 pending[digest] = resolved
                 continue
             if digest in self._memo:
-                self.counters.memo_hits += 1
                 self._note_served(resolved, digest, "memo")
                 continue
             if self.store is not None:

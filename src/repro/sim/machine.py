@@ -25,8 +25,8 @@ halves as :meth:`Machine.batch_begin` and :meth:`Machine.batch_finish`,
 one machine at a time.
 
 Barriers are resolved here: a thread executing a ``barrier``
-instruction parks until every live thread in its group has arrived,
-then all are released together after a small rendezvous cost.  The
+instruction parks until every live thread has arrived, then all are
+released together after a small rendezvous cost.  The
 wait shows up as synchronization time, which is exactly how the
 paper accounts for it (Figure 5a).
 """
@@ -45,7 +45,7 @@ from repro.sim.stats import MachineStats
 
 __all__ = ["Machine"]
 
-#: Cycles between the last barrier arrival and the group's release;
+#: Cycles between the last barrier arrival and the release;
 #: approximates the chip-crossing notification of a hardware barrier.
 BARRIER_RELEASE_COST = 24
 
@@ -101,16 +101,6 @@ class Machine:
         core.add_thread(thread)
         self.threads.append(thread)
         return tid
-
-    def add_programs(self, programs: List[Program]) -> None:
-        """Attach one program per hardware thread (must fill the machine)."""
-        if len(programs) != self.config.n_threads:
-            raise ConfigError(
-                f"expected {self.config.n_threads} programs, "
-                f"got {len(programs)}"
-            )
-        for program in programs:
-            self.add_program(program)
 
     def warm_caches(self) -> None:
         """Pre-load every allocated line into every core's L1 (S state).
@@ -183,11 +173,10 @@ class Machine:
         # Cores report thread lifecycle changes into these shared lists
         # so the loop never rescans all threads.
         done_events: List[HwThread] = []
-        barrier_arrivals: List[HwThread] = []
         barrier_waiters: List[HwThread] = []
         for core in cores:
             core.done_events = done_events
-            core.barrier_arrivals = barrier_arrivals
+            core.barrier_arrivals = barrier_waiters
             core._next_ready = core.next_ready_cycle()
         cycle = it = 0
         while True:
@@ -207,16 +196,6 @@ class Machine:
             if done_events:
                 live -= len(done_events)
                 del done_events[:]
-            if barrier_arrivals:
-                for thread in barrier_arrivals:
-                    if thread.barrier_group != "all":
-                        raise SimulationError(
-                            f"unknown barrier group "
-                            f"{thread.barrier_group!r}; only 'all' is "
-                            f"supported by the machine barrier"
-                        )
-                barrier_waiters.extend(barrier_arrivals)
-                del barrier_arrivals[:]
             if barrier_waiters and len(barrier_waiters) == live:
                 wake = self._release_barrier(barrier_waiters, cycle)
             # -- advance the clock
@@ -255,7 +234,6 @@ class Machine:
             thread.stats.busy_cycles += wait
             thread.state = T_READY
             thread.ready_at = release
-            thread.barrier_group = None
             cores_affected.add(thread.core_id)
         del waiters[:]
         for cid in cores_affected:

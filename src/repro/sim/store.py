@@ -251,25 +251,17 @@ class ResultStore:
         entries = 0
         wall_saved = 0.0
         by_kernel: Dict[str, int] = {}
-        oldest: Optional[float] = None
-        newest: Optional[float] = None
         for _, record in self.records():
             entries += 1
             provenance = record.get("provenance") or {}
             wall_saved += float(provenance.get("wall_time_s", 0.0) or 0.0)
             kernel = (record.get("spec") or {}).get("kernel", "?")
             by_kernel[kernel] = by_kernel.get(kernel, 0) + 1
-            created = record.get("created")
-            if isinstance(created, (int, float)):
-                oldest = created if oldest is None else min(oldest, created)
-                newest = created if newest is None else max(newest, created)
         return {
             "root": str(self.root),
             "entries": entries,
             "size_bytes": self.size_bytes(),
             "simulated_wall_s": wall_saved,
             "by_kernel": by_kernel,
-            "oldest": oldest,
-            "newest": newest,
             "stale": len(self.stale_digests()),
         }

@@ -21,7 +21,7 @@ from typing import Any, Dict, Tuple
 
 from repro.errors import ConfigError
 
-__all__ = ["DatasetSpec", "dataset_params", "dataset_names", "TABLE3_ROWS"]
+__all__ = ["DatasetSpec", "dataset_params", "TABLE3_ROWS"]
 
 
 @dataclass(frozen=True)
@@ -215,14 +215,6 @@ def dataset_params(kernel: str, name: str) -> Dict[str, Any]:
             f"no dataset {name!r} for kernel {kernel!r}; known: "
             f"{sorted(n for k, n in _SPECS if k == kernel)}"
         ) from None
-
-
-def dataset_names(kernel: str) -> Tuple[str, ...]:
-    """All dataset names registered for a kernel."""
-    names = tuple(sorted(n for k, n in _SPECS if k == kernel))
-    if not names:
-        raise ConfigError(f"unknown kernel {kernel!r}")
-    return names
 
 
 #: (kernel, dataset) -> (our description, paper's description), the

@@ -205,9 +205,7 @@ _ONE_INSTR = {
     Kind.VSCATTERCOND: lambda base, sync: Instr.vscattercond(
         base, [0, 1, 2, 3], (1, 2, 3, 4), sync=sync
     ),
-    Kind.BARRIER: lambda base, sync: Instr(
-        Kind.BARRIER, sync=sync, group="all"
-    ),
+    Kind.BARRIER: lambda base, sync: Instr(Kind.BARRIER, sync=sync),
 }
 
 

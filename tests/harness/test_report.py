@@ -1,14 +1,10 @@
-"""Unit tests for report formatting (tables and ASCII charts)."""
+"""Unit tests for report formatting (the paper's tables and figures)."""
 
 import pytest
 
 from repro.harness import experiments
-from repro.harness.experiments import Fig5Row, Fig6Row, Fig7Row, Fig8Row
+from repro.harness.experiments import Fig5Row, Fig6Row, Fig8Row
 from repro.harness.report import (
-    ascii_bars,
-    chart_fig5a,
-    chart_fig7,
-    chart_fig8,
     render_fig5a,
     render_fig6,
     render_fig8,
@@ -16,46 +12,6 @@ from repro.harness.report import (
 )
 from repro.sim.executor import RunSpec
 from repro.sim.stats import MachineStats
-
-
-class TestAsciiBars:
-    def test_scales_to_peak(self):
-        chart = ascii_bars([("a", 1.0), ("b", 2.0)], width=10)
-        lines = chart.splitlines()
-        assert lines[0].count("#") == 5
-        assert lines[1].count("#") == 10
-
-    def test_labels_aligned(self):
-        chart = ascii_bars([("long-label", 1.0), ("x", 1.0)])
-        lines = chart.splitlines()
-        assert lines[0].index("|") == lines[1].index("|")
-
-    def test_empty(self):
-        assert ascii_bars([]) == "(no data)"
-
-    def test_zero_values(self):
-        chart = ascii_bars([("a", 0.0)])
-        assert "0.00" in chart
-
-    def test_unit_suffix(self):
-        assert "1.00x" in ascii_bars([("a", 1.0)], unit="x")
-
-
-class TestCharts:
-    def test_chart_fig5a(self):
-        rows = [Fig5Row("hip", "A", sync_percent=40.0)]
-        chart = chart_fig5a(rows)
-        assert "HIP-A" in chart and "#" in chart
-
-    def test_chart_fig7(self):
-        rows = [Fig7Row("A", 1.5, 2.5)]
-        chart = chart_fig7(rows)
-        assert "A (4-wide)" in chart and "A (16-wide)" in chart
-
-    def test_chart_fig8(self):
-        rows = [Fig8Row("tms", "A", ratios={1: 1.0, 4: 2.0})]
-        chart = chart_fig8(rows)
-        assert "TMS-A W1" in chart and "TMS-A W4" in chart
 
 
 class TestTableRenderers:

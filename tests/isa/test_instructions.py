@@ -64,8 +64,8 @@ class TestInstrConstruction:
             Instr.vgather(0x100, [])
 
     def test_barrier(self):
-        b = Instr.barrier("all")
-        assert b.kind is Kind.BARRIER and b.group == "all" and b.sync
+        b = Instr.barrier()
+        assert b.kind is Kind.BARRIER and b.sync
 
     def test_repr_mentions_kind(self):
         assert "vgatherlink" in repr(Instr.vgatherlink(0x40, [0]))
@@ -79,39 +79,37 @@ _M2 = Mask(0b10, 2)
 
 #: One constructor call per kind with the record it must build, fields
 #: in declaration order: kind, count, fn, addr, value, base, indices,
-#: values, mask, sync, group.
+#: values, mask, sync.
 _FIELDS = [
     (Instr.alu(3),
-     (Kind.ALU, 3, None, None, None, None, None, None, None, False, None)),
+     (Kind.ALU, 3, None, None, None, None, None, None, None, False)),
     (Instr.valu(_fn, 2, sync=True),
-     (Kind.VALU, 2, _fn, None, None, None, None, None, None, True, None)),
+     (Kind.VALU, 2, _fn, None, None, None, None, None, None, True)),
     (Instr.load(0x40),
-     (Kind.LOAD, 1, None, 0x40, None, None, None, None, None, False, None)),
+     (Kind.LOAD, 1, None, 0x40, None, None, None, None, None, False)),
     (Instr.store(0x44, 7),
-     (Kind.STORE, 1, None, 0x44, 7, None, None, None, None, False, None)),
+     (Kind.STORE, 1, None, 0x44, 7, None, None, None, None, False)),
     (Instr.ll(0x48),
-     (Kind.LL, 1, None, 0x48, None, None, None, None, None, True, None)),
+     (Kind.LL, 1, None, 0x48, None, None, None, None, None, True)),
     (Instr.sc(0x48, 9),
-     (Kind.SC, 1, None, 0x48, 9, None, None, None, None, True, None)),
+     (Kind.SC, 1, None, 0x48, 9, None, None, None, None, True)),
     (Instr.vload(0x80, 4),
-     (Kind.VLOAD, 4, None, 0x80, None, None, None, None, None, False, None)),
+     (Kind.VLOAD, 4, None, 0x80, None, None, None, None, None, False)),
     (Instr.vstore(0x80, [1, 2], _M2),
-     (Kind.VSTORE, 1, None, 0x80, None, None, None, (1, 2), _M2, False,
-      None)),
+     (Kind.VSTORE, 1, None, 0x80, None, None, None, (1, 2), _M2, False)),
     (Instr.vgather(0x100, [3, 4], _M2),
-     (Kind.VGATHER, 1, None, None, None, 0x100, (3, 4), None, _M2, False,
-      None)),
+     (Kind.VGATHER, 1, None, None, None, 0x100, (3, 4), None, _M2, False)),
     (Instr.vscatter(0x100, [3, 4], [5, 6]),
      (Kind.VSCATTER, 1, None, None, None, 0x100, (3, 4), (5, 6),
-      Mask.all_ones(2), False, None)),
+      Mask.all_ones(2), False)),
     (Instr.vgatherlink(0x100, [3, 4]),
      (Kind.VGATHERLINK, 1, None, None, None, 0x100, (3, 4), None,
-      Mask.all_ones(2), True, None)),
+      Mask.all_ones(2), True)),
     (Instr.vscattercond(0x100, [3, 4], [5, 6], _M2),
      (Kind.VSCATTERCOND, 1, None, None, None, 0x100, (3, 4), (5, 6), _M2,
-      True, None)),
-    (Instr.barrier("g"),
-     (Kind.BARRIER, 1, None, None, None, None, None, None, None, True, "g")),
+      True)),
+    (Instr.barrier(),
+     (Kind.BARRIER, 1, None, None, None, None, None, None, None, True)),
 ]
 
 
@@ -136,8 +134,8 @@ class TestInstrRecord:
         assert Instr.alu() is alu
 
     def test_keyword_construction_defaults(self):
-        barrier = Instr(Kind.BARRIER, sync=True, group="all")
-        assert tuple(barrier) == tuple(Instr.barrier("all"))
+        barrier = Instr(Kind.BARRIER, sync=True)
+        assert tuple(barrier) == tuple(Instr.barrier())
 
 
 class TestKindSets:

@@ -11,7 +11,6 @@ from repro.kernels.common import (
     scalar_atomic_update,
     scalar_lock_acquire,
     scalar_lock_release,
-    scalar_paired_lock_apply,
     vlock,
     vunlock,
 )
@@ -89,35 +88,6 @@ class TestScalarHelpers:
         machine.run()
         assert counter[0] == 40
         assert lock[0] == 0
-
-    def test_paired_lock_apply_orders_acquisition(self):
-        cfg = MachineConfig(n_cores=2, threads_per_core=2, simd_width=1)
-        machine = Machine(cfg)
-        locks = machine.image.alloc_zeros(4)
-        cells = machine.image.alloc_zeros(4)
-
-        def program(ctx):
-            # Threads hammer overlapping pairs in both orders; global
-            # ordering inside the helper must avoid deadlock.
-            pairs = [(0, 3), (3, 0), (1, 2), (2, 1)]
-            a, b = pairs[ctx.tid]
-
-            def work():
-                va = yield ctx.load(cells.addr(a))
-                yield ctx.store(cells.addr(a), va + 1)
-                vb = yield ctx.load(cells.addr(b))
-                yield ctx.store(cells.addr(b), vb + 1)
-
-            for _ in range(5):
-                yield from scalar_paired_lock_apply(
-                    ctx, locks.base, a, b, work
-                )
-
-        for _ in range(4):
-            machine.add_program(program)
-        machine.run()
-        assert sum(cells.to_list()) == 4 * 5 * 2
-        assert all(v == 0 for v in locks.to_list())
 
 
 class TestVectorHelpers:

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import AlignmentError, ConfigError
-from repro.mem.layout import WORD_BYTES, LineGeometry
+from repro.mem.layout import LineGeometry
 
 
 @pytest.fixture
@@ -23,13 +23,6 @@ class TestBasics:
         assert geom.line_addr(64) == 64
         assert geom.line_addr(130) == 128
 
-    def test_line_offset(self, geom):
-        assert geom.line_offset(68) == 4
-
-    def test_same_line(self, geom):
-        assert geom.same_line(0, 60)
-        assert not geom.same_line(60, 64)
-
     def test_alignment_check(self, geom):
         geom.check_word_aligned(8)
         with pytest.raises(AlignmentError):
@@ -37,26 +30,9 @@ class TestBasics:
         with pytest.raises(AlignmentError):
             geom.check_word_aligned(-4)
 
-    def test_word_index(self, geom):
-        assert geom.word_index(16) == 4
-
-    def test_lines_spanned(self, geom):
-        assert geom.lines_spanned(0, 64) == 1
-        assert geom.lines_spanned(60, 8) == 2
-        assert geom.lines_spanned(0, 65) == 2
-        with pytest.raises(AlignmentError):
-            geom.lines_spanned(0, 0)
-
-    def test_set_and_bank_index(self, geom):
-        assert geom.set_index(0, 128) == 0
-        assert geom.set_index(64, 128) == 1
-        assert geom.bank_index(64 * 17, 16) == 1
-
     def test_pow2_required(self):
         with pytest.raises(ConfigError):
             LineGeometry(48)
-        with pytest.raises(ConfigError):
-            LineGeometry(64).set_index(0, 100)
 
 
 class TestProperties:
@@ -64,13 +40,3 @@ class TestProperties:
     def test_line_addr_idempotent(self, addr):
         geom = LineGeometry(64)
         assert geom.line_addr(geom.line_addr(addr)) == geom.line_addr(addr)
-
-    @given(st.integers(0, 1 << 20))
-    def test_offset_plus_base_reconstructs(self, addr):
-        geom = LineGeometry(64)
-        assert geom.line_addr(addr) + geom.line_offset(addr) == addr
-
-    @given(st.integers(0, 1 << 16).map(lambda w: w * WORD_BYTES))
-    def test_word_index_roundtrip(self, addr):
-        geom = LineGeometry(64)
-        assert geom.word_index(addr) * WORD_BYTES == addr

@@ -53,6 +53,17 @@ class TestValidation:
         with pytest.raises(ConfigError):
             MachineConfig(**bad)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [dict(l1_size_bytes=3 * 64 * 4), dict(l2_size_bytes=3 * 64 * 8)],
+        ids=["l1_sets", "l2_sets"],
+    )
+    def test_set_count_must_be_a_power_of_two(self, bad):
+        # Three sets: a whole number of lines per way, but the caches
+        # pick a set by masking, so the config itself must refuse it.
+        with pytest.raises(ConfigError, match="sets must be a power of two"):
+            MachineConfig(**bad)
+
     def test_frozen(self):
         cfg = MachineConfig()
         with pytest.raises(Exception):

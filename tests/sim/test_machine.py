@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import (
-    ConfigError, DeadlockError, ProgramError, SimulationError,
+    AlignmentError, ConfigError, DeadlockError, IsaError, MemoryError_,
+    ProgramError, SimulationError,
 )
 from repro.sim.config import MachineConfig, named_config
 from repro.sim.machine import Machine
@@ -262,6 +263,56 @@ class TestBarriers:
         machine.add_program(exits_early)
         machine.add_program(waits)
         machine.run()  # must terminate
+
+
+#: Bytes of simulated memory in TestBadOperands; a word address equal
+#: to it is the first one past the end.
+_MEM = 1 << 16
+
+#: (operation, instruction builder, error it must raise).  Each builder
+#: takes the thread context and the base of a 4-word array.
+_BAD_OPERANDS = [
+    ("load-negative-addr", lambda ctx, base: ctx.load(-4), IsaError),
+    ("vgather-negative-base",
+     lambda ctx, base: ctx.vgather(-4, [0, 1, 2, 3]), IsaError),
+    ("vgather-negative-index",
+     lambda ctx, base: ctx.vgather(base, [0, 1, -1, 3]), IsaError),
+    ("load-unaligned", lambda ctx, base: ctx.load(base + 2), AlignmentError),
+    ("vgather-unaligned-base",
+     lambda ctx, base: ctx.vgather(base + 2, [0, 1, 2, 3]), AlignmentError),
+    ("load-past-memory", lambda ctx, base: ctx.load(_MEM), MemoryError_),
+    ("vgather-past-memory",
+     lambda ctx, base: ctx.vgather(base, [0, 1, (_MEM - base) // 4, 3]),
+     MemoryError_),
+]
+
+
+class TestBadOperands:
+    """Bad operands fail a run on both the LSU and the GSU path.
+
+    Signs are checked once, when the program builds the ``Instr``;
+    alignment and range are checked by the memory image.
+    """
+
+    @pytest.mark.parametrize(
+        "build,error",
+        [case[1:] for case in _BAD_OPERANDS],
+        ids=[case[0] for case in _BAD_OPERANDS],
+    )
+    def test_run_raises(self, build, error):
+        cfg = MachineConfig(simd_width=4, mem_size_bytes=_MEM)
+        machine = Machine(cfg)
+        data = machine.image.alloc_array([1, 2, 3, 4])
+
+        def program(ctx):
+            yield ctx.alu()
+            yield build(ctx, data.base)
+
+        machine.add_program(program)
+        with pytest.raises(error) as excinfo:
+            machine.run()
+        # AlignmentError subclasses MemoryError_: insist on the exact one.
+        assert excinfo.type is error
 
 
 class TestStatsAccounting:
