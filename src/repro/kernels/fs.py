@@ -73,14 +73,14 @@ class Fs(KernelBase):
         self.m_x = image.alloc_zeros(system.n, name="fs.x")
         self.m_diag = [
             image.alloc_array(
-                [float(v) for row in system.diag[j] for v in row],
+                [v for row in system.diag[j] for v in row],
                 name=f"fs.diag[{j}]",
             )
             for j in range(system.n_blocks)
         ]
         self.m_off: Dict[Tuple[int, int], object] = {
             key: image.alloc_array(
-                [float(v) for row in blk for v in row],
+                [v for row in blk for v in row],
                 name=f"fs.off[{key[0]},{key[1]}]",
             )
             for key, blk in sorted(system.off_blocks.items())

@@ -24,8 +24,6 @@ from __future__ import annotations
 
 from typing import List
 
-import numpy as np
-
 from repro.errors import ConfigError
 from repro.isa.program import ThreadCtx
 from repro.kernels.common import (
@@ -36,6 +34,7 @@ from repro.kernels.common import (
 )
 from repro.mem.image import MemoryImage
 from repro.mem.layout import LineGeometry
+from repro.workloads.rng import Generator
 
 __all__ = ["Micro", "SCENARIOS"]
 
@@ -80,7 +79,7 @@ class Micro(KernelBase):
         geometry = LineGeometry()
         words_per_line = geometry.words_per_line
         n_lines = COUNTER_WORDS // words_per_line
-        rng = np.random.default_rng(self.seed)
+        rng = Generator(self.seed)
         self._indices = []
         per_thread_lines = max(n_lines // max(self.n_threads, 1), width)
         for tid in range(self.n_threads):
@@ -88,22 +87,20 @@ class Micro(KernelBase):
             stream: List[int] = []
             for _ in range(self.iterations):
                 if self.scenario == "A":
-                    lines = rng.choice(n_lines, size=width, replace=False)
+                    lines = rng.choice(n_lines, width, replace=False)
                     stream.extend(
-                        int(line) * words_per_line
-                        + int(rng.integers(0, words_per_line))
+                        line * words_per_line
+                        + rng.integers(0, words_per_line)
                         for line in lines
                     )
                 elif self.scenario == "B":
-                    line = own_first + int(rng.integers(0, per_thread_lines))
+                    line = own_first + rng.integers(0, per_thread_lines)
                     line %= n_lines
                     words = rng.choice(
-                        words_per_line, size=min(width, words_per_line),
+                        words_per_line, min(width, words_per_line),
                         replace=False,
                     )
-                    picks = [
-                        line * words_per_line + int(w) for w in words
-                    ]
+                    picks = [line * words_per_line + w for w in words]
                     # If the SIMD width exceeds the words in a line the
                     # scenario degenerates to some aliasing (unavoidable).
                     while len(picks) < width:
@@ -111,19 +108,19 @@ class Micro(KernelBase):
                     stream.extend(picks)
                 elif self.scenario == "C":
                     offsets = rng.choice(
-                        per_thread_lines, size=min(width, per_thread_lines),
+                        per_thread_lines, min(width, per_thread_lines),
                         replace=False,
                     )
                     stream.extend(
-                        ((own_first + int(o)) % n_lines) * words_per_line
-                        + int(rng.integers(0, words_per_line))
+                        ((own_first + o) % n_lines) * words_per_line
+                        + rng.integers(0, words_per_line)
                         for o in offsets
                     )
                 else:  # D: every lane the same word
-                    line = own_first + int(rng.integers(0, per_thread_lines))
+                    line = own_first + rng.integers(0, per_thread_lines)
                     line %= n_lines
-                    word = line * words_per_line + int(
-                        rng.integers(0, words_per_line)
+                    word = line * words_per_line + rng.integers(
+                        0, words_per_line
                     )
                     stream.extend([word] * width)
             self._indices.append(stream)

@@ -131,6 +131,4 @@ class LineGeometry:
 
     def line_addr(self, addr: int) -> int:
         """Base byte address of the line containing ``addr``."""
-        if addr < 0:
-            raise AlignmentError(f"negative address {addr:#x}")
         return addr - addr % self.line_bytes

@@ -57,6 +57,22 @@ def default_cache_dir() -> Path:
     return Path(os.environ.get("REPRO_CACHE_DIR", ".glsc-cache"))
 
 
+def _is_stale(digest: str, record: Optional[Dict[str, Any]]) -> bool:
+    """Whether ``record``, loaded for ``digest``, is stale (see
+    :meth:`ResultStore.stale_digests`)."""
+    from repro.sim.executor import RunSpec  # deferred: import cycle
+
+    if record is None:
+        return True
+    spec_dict = record.get("spec") or {}
+    if not spec_dict:
+        return False
+    try:
+        return RunSpec.from_dict(spec_dict).digest() != digest
+    except Exception:
+        return True
+
+
 class ResultStore:
     """Digest-keyed JSON store of :class:`MachineStats` results.
 
@@ -201,25 +217,10 @@ class ResultStore:
         stored spec (pre-provenance writers) cannot be re-derived and
         are conservatively kept.
         """
-        from repro.sim.executor import RunSpec  # deferred: import cycle
-
-        stale = []
-        for digest in self.digests():
-            record = self.load_record(digest)
-            if record is None:
-                stale.append(digest)
-                continue
-            spec_dict = record.get("spec") or {}
-            if not spec_dict:
-                continue
-            try:
-                fresh = RunSpec.from_dict(spec_dict).digest()
-            except Exception:
-                stale.append(digest)
-                continue
-            if fresh != digest:
-                stale.append(digest)
-        return stale
+        return [
+            digest for digest in self.digests()
+            if _is_stale(digest, self.load_record(digest))
+        ]
 
     def prune(self, dry_run: bool = False) -> List[str]:
         """Remove every stale entry; returns the digests affected."""
@@ -247,11 +248,22 @@ class ResultStore:
 
         The simulated wall time the cache represents (i.e. what a cold
         re-run would cost) is summed from each record's provenance.
+        One pass: each file is stat'ed once and read and parsed once.
         """
         entries = 0
+        size = 0
+        stale = 0
         wall_saved = 0.0
         by_kernel: Dict[str, int] = {}
-        for _, record in self.records():
+        for digest in self.digests():
+            try:
+                size += self.path_for(digest).stat().st_size
+            except OSError:
+                pass
+            record = self.load_record(digest)
+            stale += _is_stale(digest, record)
+            if record is None:
+                continue
             entries += 1
             provenance = record.get("provenance") or {}
             wall_saved += float(provenance.get("wall_time_s", 0.0) or 0.0)
@@ -260,8 +272,8 @@ class ResultStore:
         return {
             "root": str(self.root),
             "entries": entries,
-            "size_bytes": self.size_bytes(),
+            "size_bytes": size,
             "simulated_wall_s": wall_saved,
             "by_kernel": by_kernel,
-            "stale": len(self.stale_digests()),
+            "stale": stale,
         }

@@ -15,10 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-import numpy as np
-
 from repro.errors import ConfigError
 from repro.workloads.interning import interned_generator
+from repro.workloads.rng import Generator
 
 __all__ = [
     "FlowNetwork",
@@ -67,11 +66,11 @@ def flow_network(
         raise ConfigError("need >= 2 nodes and >= 1 edge")
     if locality < 1:
         raise ConfigError(f"locality must be >= 1, got {locality}")
-    rng = np.random.default_rng(seed)
+    rng = Generator(seed)
     edges = []
     while len(edges) < n_edges:
-        u = int(rng.integers(0, n_nodes))
-        v = u + int(rng.integers(-locality, locality + 1))
+        u = rng.integers(0, n_nodes)
+        v = u + rng.integers(-locality, locality + 1)
         if v != u and 0 <= v < n_nodes:
             edges.append((u, v))
     edges.sort()
@@ -128,11 +127,11 @@ def constraint_system(
         raise ConfigError("need >= 2 objects, >= 1 constraint, >= 1 iteration")
     if locality < 1:
         raise ConfigError(f"locality must be >= 1, got {locality}")
-    rng = np.random.default_rng(seed)
+    rng = Generator(seed)
     constraints = []
     while len(constraints) < n_constraints:
-        a = int(rng.integers(0, n_objects))
-        b = a + int(rng.integers(-locality, locality + 1))
+        a = rng.integers(0, n_objects)
+        b = a + rng.integers(-locality, locality + 1)
         if b != a and 0 <= b < n_objects:
             constraints.append((a, b))
     constraints.sort()

@@ -22,10 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
-import numpy as np
-
 from repro.errors import ConfigError
 from repro.workloads.interning import interned_generator
+from repro.workloads.rng import Generator
 
 __all__ = ["CollisionScene", "collision_scene", "ParticleField", "particle_field"]
 
@@ -95,13 +94,13 @@ def collision_scene(
         raise ConfigError(
             f"straddle_fraction must be in [0, 1], got {straddle_fraction}"
         )
-    rng = np.random.default_rng(seed)
+    rng = Generator(seed)
     runs = []
     remaining = n_objects
     while remaining > 0:
-        length = 1 + rng.geometric(1.0 / run_mean) - 1 if run_mean > 1 else 1
-        length = max(1, min(int(length), remaining))
-        runs.append((int(rng.integers(0, n_cells)), length))
+        length = rng.geometric(1.0 / run_mean) if run_mean > 1 else 1
+        length = max(1, min(length, remaining))
+        runs.append((rng.integers(0, n_cells), length))
         remaining -= length
     runs.sort()  # spatial sweep order
     insertions: List[Tuple[int, int]] = []
@@ -159,17 +158,17 @@ def particle_field(n_particles: int, dim: int, seed: int) -> ParticleField:
         raise ConfigError(f"dim must be >= 2, got {dim}")
     if n_particles <= 0:
         raise ConfigError("n_particles must be positive")
-    rng = np.random.default_rng(seed)
-    cells = rng.integers(0, dim - 1, size=(n_particles, 3))
-    cells = cells[np.argsort(cells[:, 2], kind="stable")]
+    rng = Generator(seed)
+    cells = [rng.integers(0, dim - 1, size=3) for _ in range(n_particles)]
+    cells.sort(key=lambda cell: cell[2])  # stable: z-slabs keep draw order
     corner_nodes = []
     for x, y, z in cells:
         corners = tuple(
-            int((x + dx) + dim * ((y + dy) + dim * (z + dz)))
+            (x + dx) + dim * ((y + dy) + dim * (z + dz))
             for dz in (0, 1)
             for dy in (0, 1)
             for dx in (0, 1)
         )
         corner_nodes.append(corners)
-    weights = [float(v) * 0.25 for v in rng.integers(1, 5, size=n_particles)]
+    weights = [v * 0.25 for v in rng.integers(1, 5, size=n_particles)]
     return ParticleField(dim, corner_nodes, weights)

@@ -17,12 +17,12 @@ paper's random-input control (Section 5.1) is ``coherence=0, skew=0``.
 
 from __future__ import annotations
 
+import math
 from typing import List
-
-import numpy as np
 
 from repro.errors import ConfigError
 from repro.workloads.interning import interned_generator
+from repro.workloads.rng import Generator
 
 __all__ = ["generate_image", "alias_fraction"]
 
@@ -47,18 +47,20 @@ def generate_image(
         raise ConfigError(f"coherence must be in [0, 1), got {coherence}")
     if skew < 0:
         raise ConfigError(f"skew must be >= 0, got {skew}")
-    rng = np.random.default_rng(seed)
-    ranks = np.arange(1, n_colors + 1, dtype=np.float64)
-    weights = ranks ** -skew
-    probabilities = weights / weights.sum()
+    rng = Generator(seed)
+    # The C library's pow and an exact sum: the same weights on every
+    # host (a vectorised pow can differ in the last bit).
+    weights = [float(rank) ** -skew for rank in range(1, n_colors + 1)]
+    total = math.fsum(weights)
+    probabilities = [weight / total for weight in weights]
     color_of_rank = rng.permutation(n_colors)
-    fresh = rng.choice(n_colors, size=n_pixels, p=probabilities)
-    repeat = rng.random(n_pixels) < coherence
+    fresh = rng.choice(n_colors, n_pixels, p=probabilities)
+    repeat = [u < coherence for u in rng.random(n_pixels)]
     pixels: List[int] = []
-    previous = int(color_of_rank[fresh[0]])
+    previous = color_of_rank[fresh[0]]
     for i in range(n_pixels):
         if not (repeat[i] and pixels):
-            previous = int(color_of_rank[fresh[i]])
+            previous = color_of_rank[fresh[i]]
         pixels.append(previous)
     return pixels
 

@@ -14,10 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from repro.errors import ConfigError
 from repro.workloads.interning import interned_generator
+from repro.workloads.rng import Generator
 
 __all__ = [
     "SparseMatrix",
@@ -95,22 +94,22 @@ def random_sparse(
         raise ConfigError("rows and cols must be positive")
     if not 0 < density <= 1:
         raise ConfigError(f"density must be in (0, 1], got {density}")
-    rng = np.random.default_rng(seed)
+    rng = Generator(seed)
     nnz = max(1, min(int(round(rows * cols * density)), rows * cols))
     positions = set()
     while len(positions) < nnz:
-        row = int(rng.integers(0, rows))
+        row = rng.integers(0, rows)
         if band is None:
-            col = int(rng.integers(0, cols))
+            col = rng.integers(0, cols)
         else:
             center = row * cols / rows
-            col = int(round(rng.normal(center, band)))
+            col = round(rng.normal(center, band))
             if not 0 <= col < cols:
                 continue
         positions.add((row, col))
     values = rng.integers(1, 8, size=len(positions))
     nonzeros = [
-        (row, col, float(v) * 0.5)
+        (row, col, v * 0.5)
         for (row, col), v in zip(sorted(positions), values)
     ]
     return SparseMatrix(rows, cols, nonzeros)
@@ -128,8 +127,8 @@ class BlockTriangular:
 
     block: int
     n_blocks: int
-    diag: List[np.ndarray]                     # diagonal blocks (unit-ish)
-    off_blocks: Dict[Tuple[int, int], np.ndarray]  # (i, j) -> dense block
+    diag: List[List[List[float]]]          # diagonal blocks (unit-ish)
+    off_blocks: Dict[Tuple[int, int], List[List[float]]]  # (i, j) -> dense block
     rhs: List[float]
     levels: List[int] = field(default_factory=list)
 
@@ -185,19 +184,25 @@ def block_triangular(
         raise ConfigError("n_blocks and block must be positive")
     if not 0 <= fill <= 1:
         raise ConfigError(f"fill must be in [0, 1], got {fill}")
-    rng = np.random.default_rng(seed)
+    rng = Generator(seed)
     diag = []
     for _ in range(n_blocks):
-        noise = np.tril(rng.integers(0, 3, size=(block, block)), k=-1) * 0.25
-        diag.append(np.eye(block) + noise)
-    off_blocks: Dict[Tuple[int, int], np.ndarray] = {}
+        # Draw a full block of noise, keep its strict lower triangle.
+        noise = [rng.integers(0, 3, size=block) for _ in range(block)]
+        diag.append([
+            [1.0 if c == r else row[c] * 0.25 if c < r else 0.0
+             for c in range(block)]
+            for r, row in enumerate(noise)
+        ])
+    off_blocks: Dict[Tuple[int, int], List[List[float]]] = {}
     for i in range(1, n_blocks):
         for j in range(i):
             if rng.random() < fill:
-                off_blocks[(i, j)] = (
-                    rng.integers(0, 4, size=(block, block)) * 0.25
-                )
-    rhs = [float(v) * 0.5 for v in rng.integers(1, 9, size=n_blocks * block)]
+                off_blocks[(i, j)] = [
+                    [v * 0.25 for v in rng.integers(0, 4, size=block)]
+                    for _ in range(block)
+                ]
+    rhs = [v * 0.5 for v in rng.integers(1, 9, size=n_blocks * block)]
     levels = [0] * n_blocks
     for j in range(n_blocks):
         deps = [k for (i, k) in off_blocks if i == j]

@@ -53,7 +53,11 @@ class TestMarkdownReport:
 
         slowed = copy.deepcopy(doc)
         for point in slowed["points"]:
-            point["wall_s"]["median"] *= 10
+            # Ten times slower and past the comparator's absolute
+            # floor, however fast this host ran the tiny point.
+            point["wall_s"]["median"] = (
+                10 * point["wall_s"]["median"] + Comparator().abs_floor_s
+            )
         comparison = Comparator().compare(slowed, trajectory_entry(doc))
         markdown = render_markdown(comparison)
         assert "Gate: REGRESSED" in markdown

@@ -208,6 +208,28 @@ class TestMaintenance:
         assert info["simulated_wall_s"] > 0
         assert info["stale"] == 0
 
+    def test_describe_reads_each_record_once(self, store, monkeypatch):
+        Executor(store=store).run(SPEC)
+        record = json.loads(store.path_for(SPEC.digest()).read_text())
+        stranded = store.root / ("cd" * 32 + ".json")
+        record["digest"] = stranded.stem
+        stranded.write_text(json.dumps(record))
+        loads = []
+        load_record = store.load_record
+
+        def counting_load(digest):
+            loads.append(digest)
+            return load_record(digest)
+
+        monkeypatch.setattr(store, "load_record", counting_load)
+        info = store.describe()
+        assert sorted(loads) == sorted([SPEC.digest(), stranded.stem])
+        assert info["entries"] == 2
+        assert info["stale"] == 1
+        assert info["size_bytes"] == sum(
+            p.stat().st_size for p in store.root.glob("*.json")
+        )
+
 
 class TestSpecFromDict:
     def test_round_trip(self):
