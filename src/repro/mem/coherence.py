@@ -384,15 +384,6 @@ class CoherenceSystem:
     # bulk warm-up
     # ------------------------------------------------------------------
 
-    def can_warm_fill(self) -> bool:
-        """Whether :meth:`warm_fill` is equivalent to the per-read loop.
-
-        Chaos injection consumes RNG draws on every access, so a warm
-        pass that skips accesses would desynchronize the draw sequence;
-        callers fall back to the slow loop in that case.
-        """
-        return self._chaos_rng is None
-
     def warm_fill(self, first: int, limit: int) -> None:
         """Bulk cache warm-up: sequential line fill into every core's L1.
 
@@ -403,22 +394,23 @@ class CoherenceSystem:
                     self.read(core, 0, line, now=0)
 
         but the per-access bookkeeping of the full ``read`` transaction
-        — latency accounting, chaos checks, result allocation, LRU
-        touches that rewrite 0 with 0 — is skipped.  Misses still go
-        through the real protocol path (``_read_miss`` + prefetcher
-        training), so L1/L2/directory contents, bank clocks, DRAM
-        access counts, and prefetched-bit patterns match the slow loop
-        bit for bit.  Stats counters are *not* maintained; callers
-        reset them afterwards (as ``Machine.warm_caches`` always did).
+        — latency accounting, result allocation, LRU touches that
+        rewrite 0 with 0 — is skipped.  Misses still go through the
+        real protocol path (``_read_miss`` + prefetcher training), so
+        L1/L2/directory contents, bank clocks, DRAM access counts, and
+        prefetched-bit patterns match the slow loop bit for bit.  Under
+        chaos injection each line lookup draws the chaos RNG first, as
+        ``read`` does, so the draw sequence matches too.  Stats
+        counters are *not* maintained; callers reset them afterwards
+        (as ``Machine.warm_caches`` does).
         """
-        if self._chaos_rng is not None:
-            raise SimulationError(
-                "warm_fill requires chaos injection to be disabled"
-            )
         line_bytes = self._line_bytes
+        chaos = self._chaos_rng is not None
         for core in range(self.config.n_cores):
             lookup = self.l1s[core].lookup
             for line_addr in range(first, limit, line_bytes):
+                if chaos:
+                    self._maybe_inject_loss(0)
                 line = lookup(line_addr)
                 if line is not None:
                     # The slow path's demand-hit bookkeeping reduces to

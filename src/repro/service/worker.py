@@ -198,7 +198,7 @@ def _execute(
     Members whose digest the store already has are skipped: another
     worker (or a requeued straggler's original run) produced them, and
     determinism makes re-simulating pure waste.  The rest simulate
-    together — shared interned inputs, one live machine at a time.
+    together — shared template kernels, one live machine at a time.
     Save-then-ack covers the whole file, so a crash mid-file requeues
     it and the re-run skips whatever did land.  A simulation error
     nacks the *whole file* back to pending: members are independent,

@@ -5,12 +5,9 @@ Simulating each through :func:`~repro.sim.executor.execute_spec`
 re-generates its dataset, re-runs its kernel's per-thread
 preprocessing (the Table 2 reorders) and re-validates its program.
 :class:`BatchRunner` simulates N specs in one process and pays each of
-those costs once per batch by **interning immutable inputs**: datasets
-are built once per batch
-(:func:`~repro.workloads.interning.intern_datasets`), each distinct
-(kernel, dataset, thread count) combination constructs its kernel
-once (:class:`ImageCache`), and program objects are validated once
-per combination (:class:`ProgramCache`).
+those costs once per batch: :class:`ImageCache` constructs each
+distinct (kernel, dataset, thread count) combination's kernel once,
+dataset included, and validates each of its variants' programs once.
 
 Each machine then allocates its own copy of that kernel into its own
 fresh memory image, exactly as
@@ -46,14 +43,15 @@ import copy
 import gc
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Set, Tuple
 
 from repro.isa.program import check_program
+from repro.sim import runner
+from repro.sim.executor import _make_spec_kernel
 from repro.sim.machine import Machine
 from repro.sim.stats import MachineStats
-from repro.workloads.interning import intern_datasets
 
-__all__ = ["BatchResult", "BatchRunner", "ImageCache", "ProgramCache"]
+__all__ = ["BatchResult", "BatchRunner", "ImageCache"]
 
 
 def _intern_key(spec: "RunSpec", config) -> Tuple[Any, ...]:
@@ -66,51 +64,44 @@ def _intern_key(spec: "RunSpec", config) -> Tuple[Any, ...]:
 
 
 class ImageCache:
-    """Batch-scoped cache of constructed, never-allocated kernels.
+    """Batch-scoped memo of constructed, never-allocated kernels.
 
     One template kernel per :func:`_intern_key`: its dataset and
     per-thread preprocessing.  :meth:`materialize` hands each machine
     a shallow copy to allocate into that machine's own image; the
-    template itself is never allocated.
+    template itself is never allocated.  Copies share the template's
+    code objects, so one :func:`~repro.isa.program.check_program` per
+    key and variant covers every thread of every machine.
+
+    Copies also share the template's dataset, so a dataset is never
+    mutated: kernels read it to fill their memory image and to
+    compute their verify oracle, and never write back.  The batch
+    equivalence tests would diverge bitwise on any mutation.
     """
 
     def __init__(self) -> None:
-        self._kernels: Dict[Tuple[Any, ...], Any] = {}
+        #: Intern key -> (template kernel, variants already checked).
+        self._kernels: Dict[Tuple[Any, ...], Tuple[Any, Set[str]]] = {}
 
     def __len__(self) -> int:
         return len(self._kernels)
 
     def materialize(self, spec: "RunSpec", config):
-        """An unallocated copy of ``spec``'s kernel, built once per key."""
-        from repro.sim.executor import _make_spec_kernel
-
+        """``(kernel, program)``: an unallocated copy of ``spec``'s
+        kernel, built once per key, and its checked program."""
         key = _intern_key(spec, config)
-        kernel = self._kernels.get(key)
-        if kernel is None:
-            kernel = self._kernels[key] = _make_spec_kernel(
-                spec, config.n_threads
+        entry = self._kernels.get(key)
+        if entry is None:
+            entry = self._kernels[key] = (
+                _make_spec_kernel(spec, config.n_threads), set()
             )
-        return copy.copy(kernel)
-
-
-class ProgramCache:
-    """Once-per-batch program validation.
-
-    Copies of one template kernel share its code objects, so one
-    :func:`~repro.isa.program.check_program` per (intern key, variant)
-    covers every thread of every machine in the combination.
-    """
-
-    def __init__(self) -> None:
-        self._checked: set = set()
-
-    def program(self, kernel, key: Tuple[Any, ...], variant: str):
-        program = kernel.program(variant)
-        cache_key = (key, variant)
-        if cache_key not in self._checked:
+        template, checked = entry
+        kernel = copy.copy(template)
+        program = kernel.program(spec.variant)
+        if spec.variant not in checked:
             check_program(program)
-            self._checked.add(cache_key)
-        return program
+            checked.add(spec.variant)
+        return kernel, program
 
 
 @dataclass
@@ -135,9 +126,8 @@ class BatchRunner:
     would each simulate.
     """
 
-    def __init__(self, specs: Sequence["RunSpec"], verify: bool = True) -> None:
+    def __init__(self, specs: Sequence["RunSpec"]) -> None:
         self.specs = list(specs)
-        self.verify = verify
         #: Filled by :meth:`run`: batch occupancy + timing facts, the
         #: ``*_s`` phases summed over the specs.
         self.info: Dict[str, Any] = {}
@@ -150,8 +140,6 @@ class BatchRunner:
         nothing about the other specs' correctness — the queue worker
         nacks the whole file, the file being its unit of retry.
         """
-        from repro.sim.runner import verify_run
-
         # The simulation loop allocates heavily but creates no cycles:
         # each machine is freed by reference counting once its spec is
         # done.  Pausing the cyclic GC removes its periodic full-heap
@@ -160,34 +148,26 @@ class BatchRunner:
         if gc_was_enabled:
             gc.disable()
         try:
-            return self._run(verify_run)
+            return self._run()
         finally:
             if gc_was_enabled:
                 gc.enable()
 
-    def _run(self, verify_run) -> List[BatchResult]:
+    def _run(self) -> List[BatchResult]:
         began = time.perf_counter()
         images = ImageCache()
-        programs = ProgramCache()
         info = self.info = {
             "occupancy": len(self.specs),
             "setup_s": 0.0,
             "sim_s": 0.0,
             "verify_s": 0.0,
         }
-        with intern_datasets():
-            results = [
-                self._run_one(spec, images, programs, verify_run)
-                for spec in self.specs
-            ]
+        results = [self._run_one(spec, images) for spec in self.specs]
         info["interned_images"] = len(images)
         info["wall_s"] = time.perf_counter() - began
         return results
 
-    def _run_one(
-        self, spec: "RunSpec", images: ImageCache, programs: ProgramCache,
-        verify_run,
-    ) -> BatchResult:
+    def _run_one(self, spec: "RunSpec", images: ImageCache) -> BatchResult:
         """Build, run and verify one spec's machine.
 
         The machine is local to this call, so it is released when the
@@ -195,12 +175,9 @@ class BatchRunner:
         """
         began = time.perf_counter()
         config = spec.config()
-        kernel = images.materialize(spec, config)
+        kernel, program = images.materialize(spec, config)
         machine = Machine(config)
         kernel.allocate(machine.image)
-        program = programs.program(
-            kernel, _intern_key(spec, config), spec.variant
-        )
         for _ in range(config.n_threads):
             machine.add_program(program, check=False)
         if spec.warm:
@@ -209,8 +186,7 @@ class BatchRunner:
         sim_began = time.perf_counter()
         stats = machine.batch_finish()
         verify_began = time.perf_counter()
-        if self.verify:
-            verify_run(kernel, machine)
+        runner.verify_run(kernel, machine)
         ended = time.perf_counter()
         info = self.info
         info["setup_s"] += sim_began - began

@@ -312,7 +312,7 @@ def _make_spec_kernel(spec: RunSpec, n_threads: int):
 
 
 def execute_spec(
-    spec: RunSpec, verify: bool = True, obs=None, on_machine=None,
+    spec: RunSpec, obs=None, on_machine=None,
 ) -> MachineStats:
     """Simulate one spec from scratch and return its verified stats.
 
@@ -332,7 +332,6 @@ def execute_spec(
         kernel,
         config,
         spec.variant,
-        verify=verify,
         warm=spec.warm,
         obs=obs,
         on_machine=on_machine,
@@ -367,7 +366,7 @@ class Executor:
 
     Fresh specs are packed into groups of at most ``batch_size``, and
     each group runs through one :class:`~repro.sim.batch.BatchRunner`
-    (shared interned inputs, one live machine at a time).  ``jobs=1`` (the
+    (shared template kernels, one live machine at a time).  ``jobs=1`` (the
     default) runs the groups in-process; ``jobs>1`` runs one group per
     ``ProcessPoolExecutor`` task, cutting groups small enough to keep
     every worker busy.  Results are memoized in-memory for the

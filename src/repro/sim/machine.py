@@ -112,26 +112,20 @@ class Machine:
 
         The fill uses :meth:`CoherenceSystem.warm_fill`, which skips
         the per-access accounting of the full ``read`` transaction but
-        leaves the identical cache/directory/bank/prefetcher end state.
-        When chaos injection is configured the slow per-read path is
-        used instead so the RNG draw sequence matches the reference.
+        leaves the identical cache/directory/bank/prefetcher end state
+        and, under chaos injection, the identical RNG draw sequence.
         """
         if self._ran:
             raise SimulationError("cannot warm caches after run()")
-        line_bytes = self.config.line_bytes
-        first = line_bytes  # line 0 is the allocator's null sentinel
-        limit = self.image.bytes_allocated
         # Warming is excluded from the statistics, so it is excluded
         # from the event stream too: sinks see only measured traffic.
         saved_obs = self.coherence.obs
         self.coherence.obs = None
         try:
-            if self.coherence.can_warm_fill():
-                self.coherence.warm_fill(first, limit)
-            else:
-                for core_id in range(self.config.n_cores):
-                    for line in range(first, limit, line_bytes):
-                        self.coherence.read(core_id, 0, line, now=0)
+            # Line 0 is the allocator's null sentinel.
+            self.coherence.warm_fill(
+                self.config.line_bytes, self.image.bytes_allocated
+            )
         finally:
             self.coherence.obs = saved_obs
         self.coherence.prefetcher.reset()

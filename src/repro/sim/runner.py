@@ -54,7 +54,6 @@ def run_prepared(
     kernel: KernelBase,
     config: MachineConfig,
     variant: str,
-    verify: bool = True,
     warm: bool = False,
     obs=None,
     on_machine=None,
@@ -88,8 +87,7 @@ def run_prepared(
     if warm:
         machine.warm_caches()
     stats = machine.run()
-    if verify:
-        verify_run(kernel, machine)
+    verify_run(kernel, machine)
     return stats
 
 
@@ -98,13 +96,12 @@ def run_kernel(
     dataset: str,
     config: MachineConfig,
     variant: str,
-    verify: bool = True,
     warm: bool = False,
     obs=None,
 ) -> RunResult:
     """Run kernel ``name`` on ``dataset`` under ``config``/``variant``."""
     kernel = make_kernel(name, dataset, config.n_threads)
     stats = run_prepared(
-        kernel, config, variant, verify=verify, warm=warm, obs=obs,
+        kernel, config, variant, warm=warm, obs=obs,
     )
     return RunResult(name, dataset, variant, config, stats)

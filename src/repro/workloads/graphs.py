@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from repro.errors import ConfigError
-from repro.workloads.interning import interned_generator
 from repro.workloads.rng import Generator
 
 __all__ = [
@@ -50,7 +49,6 @@ class FlowNetwork:
         return excess
 
 
-@interned_generator
 def flow_network(
     n_nodes: int, n_edges: int, seed: int, locality: int = 12
 ) -> FlowNetwork:
@@ -107,7 +105,6 @@ class ConstraintSystem:
         return state
 
 
-@interned_generator
 def constraint_system(
     n_objects: int,
     n_constraints: int,

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 from repro.errors import ConfigError
-from repro.workloads.interning import interned_generator
 from repro.workloads.rng import Generator
 
 __all__ = ["CollisionScene", "collision_scene", "ParticleField", "particle_field"]
@@ -65,7 +64,6 @@ class CollisionScene:
         return counts
 
 
-@interned_generator
 def collision_scene(
     n_objects: int,
     n_cells: int,
@@ -143,7 +141,6 @@ class ParticleField:
         return density
 
 
-@interned_generator
 def particle_field(n_particles: int, dim: int, seed: int) -> ParticleField:
     """Generate near-uniform particles in a ``dim^3`` node grid.
 

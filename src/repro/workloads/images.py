@@ -21,13 +21,11 @@ import math
 from typing import List
 
 from repro.errors import ConfigError
-from repro.workloads.interning import interned_generator
 from repro.workloads.rng import Generator
 
 __all__ = ["generate_image", "alias_fraction"]
 
 
-@interned_generator
 def generate_image(
     n_pixels: int,
     n_colors: int,

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ConfigError
-from repro.workloads.interning import interned_generator
 from repro.workloads.rng import Generator
 
 __all__ = [
@@ -70,7 +69,6 @@ class SparseMatrix:
         return y
 
 
-@interned_generator
 def random_sparse(
     rows: int,
     cols: int,
@@ -169,7 +167,6 @@ class BlockTriangular:
         return x
 
 
-@interned_generator
 def block_triangular(
     n_blocks: int, block: int, fill: float, seed: int
 ) -> BlockTriangular:

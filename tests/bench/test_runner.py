@@ -1,5 +1,7 @@
 """BenchRunner tests: fresh repeats, aggregation, document schema."""
 
+import time
+
 import pytest
 
 from repro.bench.baseline import BENCH_SCHEMA_VERSION
@@ -84,6 +86,23 @@ class TestRunnerDocument:
         for point in doc["points"]:
             assert "contention" not in point
             assert "phases" not in point
+
+    def test_first_call_cost_stays_out_of_the_samples(self, monkeypatch):
+        """A one-repeat median is not the process's cold first call."""
+        from repro.sim.machine import Machine
+
+        run = Machine.run
+        calls = []
+
+        def cold_first_run(machine):
+            if not calls:
+                time.sleep(0.5)
+            calls.append(machine)
+            return run(machine)
+
+        monkeypatch.setattr(Machine, "run", cold_first_run)
+        doc = BenchRunner(tiny_suite(), repeats=1, phases=False).run()
+        assert max(p["wall_s"]["median"] for p in doc["points"]) < 0.5
 
     def test_trajectory_entry_rolls_contention_up(self, doc):
         from repro.bench.baseline import trajectory_entry

@@ -11,16 +11,20 @@ loop::
 These tests snapshot every piece of warm-visible state — L1 line
 contents (including GLSC and prefetched bits), L2 directory entries
 (sharers, owner, recency), L2 bank clocks, and DRAM access counts —
-after each path and require them identical.  Chaos injection disables
-the fast path (it would desynchronize the RNG draw sequence), which is
-also asserted.
+after each path and require them identical.  Under chaos injection the
+chaos RNG's state and event count must match too, and warm chaos specs
+are pinned end to end at their cycles and stats digests.
 """
+
+import hashlib
+import json
 
 import pytest
 
-from repro.errors import SimulationError
 from repro.mem.coherence import CoherenceSystem
+from repro.sim.batch import BatchRunner
 from repro.sim.config import MachineConfig
+from repro.sim.executor import RunSpec, execute_spec
 from repro.sim.stats import MachineStats
 
 
@@ -73,7 +77,6 @@ def test_warm_fill_state_equals_slow_loop(n_cores):
     limit = first + config.line_bytes * (config.l1_sets * config.l1_assoc + 64)
 
     fast = build(config)
-    assert fast.can_warm_fill()
     fast.warm_fill(first, limit)
 
     slow = build(config)
@@ -103,16 +106,69 @@ def test_warm_fill_idempotent_second_pass():
     assert snapshot(fast) == snapshot(slow)
 
 
-def test_chaos_disables_fast_path():
-    config = MachineConfig(chaos_reservation_loss=0.25)
-    coherence = build(config)
-    assert not coherence.can_warm_fill()
-    with pytest.raises(SimulationError):
-        coherence.warm_fill(config.line_bytes, config.line_bytes * 8)
+def test_warm_fill_under_chaos_draws_like_slow_loop():
+    """Chaos draws its RNG before every line lookup, as ``read`` does."""
+    config = MachineConfig(chaos_reservation_loss=0.25).with_topology(2, 2)
+    first = config.line_bytes
+    limit = first + config.line_bytes * (config.l1_sets * config.l1_assoc + 64)
+
+    def chaos_state(coherence):
+        return (
+            coherence._chaos_rng.getstate(),
+            coherence.chaos_events,
+            coherence.reservations.live_keys(),
+        )
+
+    fast, slow = build(config), build(config)
+    untouched = chaos_state(build(config))
+    for coherence in (fast, slow):
+        # Live reservations give the injected losses victims to kill.
+        for core in range(config.n_cores):
+            coherence.reservations.set(core, 1, first)
+    fast.warm_fill(first, limit)
+    warm_slow(slow, first, limit)
+
+    assert chaos_state(fast) == chaos_state(slow)
+    assert chaos_state(fast)[0] != untouched[0]
+    assert fast.chaos_events == config.n_cores
+    assert snapshot(fast) == snapshot(slow)
+
+
+#: Warm specs under chaos injection, pinned at the cycles and stats
+#: sha256 of the per-read warm loop that ``warm_fill`` replaced.
+WARM_CHAOS_PINS = [
+    (RunSpec.micro("B", "4x4", 4, "glsc"), 0.05, 4283,
+     "45a3794420369bd18c0f5e07c2267eca31027a399385359bea94044ea5d7be12"),
+    (RunSpec.micro("A", "2x2", 16, "base"), 0.2, 37961,
+     "726c5939ea43c5a1bfde4ddd23e847524e4a29e78da832662fa5f3ca2c2be9d8"),
+    (RunSpec("tms", "tiny", "2x2", 4, "glsc", warm=True), 0.1, 344,
+     "fd0efb24b2b7429186647f8a1966160f52164febe951092a4938b97ca07f0360"),
+    (RunSpec("gbc", "tiny", "4x4", 4, "glsc", warm=True), 0.05, 1131,
+     "5226e1f019016fcb1551b6884d0c9f00d0d79b027bebb119cb5adb7c65920383"),
+]
+WARM_CHAOS_SPECS = [
+    spec.with_overrides(chaos_reservation_loss=loss)
+    for spec, loss, _, _ in WARM_CHAOS_PINS
+]
+
+
+def stats_digest(stats) -> str:
+    payload = json.dumps(
+        stats.to_dict(), sort_keys=True, separators=(",", ":")
+    )
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+def test_warm_chaos_specs_keep_their_goldens():
+    want = [(cycles, sha) for _, _, cycles, sha in WARM_CHAOS_PINS]
+    solo = [execute_spec(spec) for spec in WARM_CHAOS_SPECS]
+    batched = [r.stats for r in BatchRunner(WARM_CHAOS_SPECS).run()]
+    for stats in (solo, batched):
+        assert [(s.cycles, stats_digest(s)) for s in stats] == want
 
 
 def test_machine_warm_caches_uses_equivalent_state():
-    """End-to-end: Machine.warm_caches (fast path) leaves the same
+    """End-to-end: Machine.warm_caches (warm_fill) leaves the same
 
     coherence state as a hand-rolled slow warm on a second machine.
     """

@@ -1,10 +1,10 @@
 """Batched-backend determinism: batching must be unobservable.
 
-The batched backend (:mod:`repro.sim.batch`) shares interned datasets
-and template kernels across machines and runs them one after another
-in one process — ways a bug could leak one machine's state into
-another's results, or keep it alive.  These tests pin the contract
-from every angle:
+The batched backend (:mod:`repro.sim.batch`) shares template kernels,
+their datasets included, across machines and runs them one after
+another in one process — ways a bug could leak one machine's state
+into another's results, or keep it alive.  These tests pin the
+contract from every angle:
 
 * property-style: seeded-random subsets of the smoke grid plus the
   Section 5.2 microbenchmark specs, shuffled, mixed across
@@ -13,6 +13,8 @@ from every angle:
 * the order of specs within a batch is unobservable;
 * copies of one template kernel, every registered kernel and the
   microbenchmark, allocate into private images;
+* each template is built once and each of its variants' programs is
+  checked once, and every spec is verified;
 * each spec's machine is freed before the next one is built, and
   per-spec walls are measured;
 * the executor's store records are byte-identical to records built
@@ -36,7 +38,6 @@ from repro.sim.batch import BatchRunner, ImageCache
 from repro.sim.executor import Executor, RunSpec, execute_spec
 from repro.sim.machine import Machine
 from repro.sim.store import ResultStore
-from repro.workloads.interning import intern_datasets
 
 #: The microbenchmark allocates its index streams lazily, while the
 #: program runs — the allocation a batch must land in each machine's
@@ -155,7 +156,7 @@ class TestBatchMatchesSerial:
             assert digest(result.stats) == digest(execute_spec(spec))
 
     def test_interning_is_shared_but_results_are_private(self):
-        """Same-image specs share one interned snapshot, distinct stats."""
+        """Same-key specs share one template kernel, distinct stats."""
         specs = [
             RunSpec("tms", "tiny", "1x2", 4, "base"),
             RunSpec("tms", "tiny", "1x2", 4, "glsc"),
@@ -169,6 +170,28 @@ class TestBatchMatchesSerial:
 
 
 class TestImageCache:
+    def test_one_check_per_variant_and_one_verify_per_spec(
+        self, monkeypatch
+    ):
+        """Programs are checked and runs verified through the module
+        names a tracer wraps: ``batch.check_program`` once per key and
+        variant, ``runner.verify_run`` once per spec."""
+        checked, verified = [], []
+        monkeypatch.setattr(batch, "check_program", checked.append)
+        monkeypatch.setattr(
+            "repro.sim.runner.verify_run", lambda *args: verified.append(args)
+        )
+        specs = [
+            RunSpec("tms", "tiny", "1x2", width, variant)
+            for width in (1, 4)
+            for variant in ("base", "glsc")
+        ]
+        runner = BatchRunner(specs)
+        runner.run()
+        assert runner.info["interned_images"] == 1
+        assert [p.__name__ for p in checked] == ["base_program", "glsc_program"]
+        assert len(verified) == len(specs)
+
     @pytest.mark.parametrize(
         "spec",
         [RunSpec(name, "tiny", "1x2", 4, "glsc") for name in sorted(KERNELS)]
@@ -179,10 +202,9 @@ class TestImageCache:
         """Two copies of one key: a store through one leaves the other."""
         config = spec.config()
         cache = ImageCache()
-        with intern_datasets():
-            first = cache.materialize(spec, config)
-            second = cache.materialize(spec, config)
-        (template,) = cache._kernels.values()
+        first, _ = cache.materialize(spec, config)
+        second, _ = cache.materialize(spec, config)
+        ((template, _),) = cache._kernels.values()
         mine, other = Machine(config), Machine(config)
         first.allocate(mine.image)
         second.allocate(other.image)
